@@ -5,11 +5,11 @@
 //! separate `UploadError` on the client. [`TelemetryError`] replaces
 //! that mix with one typed enum covering every failure the public
 //! surface can report — frame decode, transport I/O, queue-full
-//! backpressure, schema drift, WAL corruption, invalid configuration,
-//! and retry exhaustion. Every conversion is non-panicking: the
-//! `From` impls below mean `?` works across the whole crate without
-//! `map_err` noise, and no path stringifies an error before the caller
-//! has had the chance to match on it.
+//! backpressure, schema drift, WAL corruption or misplacement, invalid
+//! configuration, and retry exhaustion. Every conversion is
+//! non-panicking: the `From` impls below mean `?` works across the
+//! whole crate without `map_err` noise, and no path stringifies an
+//! error before the caller has had the chance to match on it.
 
 use std::fmt;
 use std::io;
@@ -41,6 +41,17 @@ pub enum TelemetryError {
         /// What the check found.
         reason: String,
     },
+    /// A write-ahead log's header names a different shard than the one
+    /// opening it; replaying it would merge another partition's
+    /// batches.
+    WalShardMismatch {
+        /// The log file.
+        path: String,
+        /// The shard the caller opened the log as.
+        expected: usize,
+        /// The shard the log's header names.
+        found: usize,
+    },
     /// A builder rejected an invalid configuration value.
     Config {
         /// The offending field.
@@ -67,6 +78,14 @@ impl fmt::Display for TelemetryError {
             TelemetryError::WalCorrupt { offset, reason } => {
                 write!(f, "WAL corrupt at byte {offset}: {reason}")
             }
+            TelemetryError::WalShardMismatch {
+                path,
+                expected,
+                found,
+            } => write!(
+                f,
+                "WAL {path} belongs to shard {found}, not to shard {expected}"
+            ),
             TelemetryError::Config { field, reason } => {
                 write!(f, "invalid config: {field}: {reason}")
             }

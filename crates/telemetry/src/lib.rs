@@ -75,7 +75,9 @@ pub use fingerprint::{batch_fingerprint, fnv1a, node_for, shard_for};
 pub use fleet::{run_fleet_telemetry, TelemetryFleetOutcome};
 pub use report::{HangGroup, TelemetryReport};
 pub use server::{ServerConfig, ServerStats, TelemetryServer, TelemetryServerBuilder};
-pub use store::{AggregationStore, IngestOutcome, IngestStats, StoreSnapshot, SNAPSHOT_SCHEMA};
+pub use store::{
+    AggregationStore, IngestOutcome, IngestStats, QueryFold, StoreSnapshot, SNAPSHOT_SCHEMA,
+};
 pub use wal::{Wal, WalHeader, WalRecord, WalReplay, WAL_MAGIC, WAL_SCHEMA};
 pub use wire::{
     decode_frame, drain_frames, encode_frame, encode_frame_in, read_frame, write_frame, FrameError,

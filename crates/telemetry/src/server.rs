@@ -39,9 +39,13 @@
 //!   Responses flush in request order per connection, which is what
 //!   lets clients pipeline.
 //! * **Sharded state.** Each shard worker owns an
-//!   [`AggregationStore`] partition; queries fold the partitions
-//!   through the CRDT merge ([`AggregationStore::absorb`]) — the same
-//!   fold the cluster coordinator runs across nodes.
+//!   [`AggregationStore`] partition. A `Query` joins only the
+//!   partitions' per-app reports and device pairs ([`QueryFold`]),
+//!   visiting the shards in order and holding one shard lock at a
+//!   time, so it reads a per-shard cut, not one atomic cut of the
+//!   node. An `Export` still ships the full state: it folds the
+//!   partitions through the CRDT merge ([`AggregationStore::absorb`])
+//!   — the same fold the cluster coordinator runs across nodes.
 //! * **Durability.** With a WAL directory configured, every batch is
 //!   appended to the shard's log *before* it merges, so
 //!   kill-and-restart replays to the identical aggregate
@@ -54,7 +58,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -69,7 +73,8 @@ use hd_control::FleetController;
 
 use crate::error::TelemetryError;
 use crate::fingerprint::{batch_fingerprint, shard_for};
-use crate::store::{AggregationStore, IngestOutcome, IngestStats, StoreSnapshot};
+use crate::report::TelemetryReport;
+use crate::store::{AggregationStore, IngestOutcome, IngestStats, QueryFold, StoreSnapshot};
 use crate::wal::{self, Wal};
 use crate::wire::{
     drain_frames_with, encode_frame_in, upload_fingerprint_from_payload, Request, Response,
@@ -176,7 +181,10 @@ impl TelemetryServerBuilder {
     }
 
     /// Validates the configuration, binds the listener, recovers any
-    /// WAL state, and starts the worker threads.
+    /// WAL state, and starts the worker threads. A WAL directory that
+    /// holds state for more shards than configured is refused: those
+    /// shards would never be recovered. More shards than on disk is
+    /// fine.
     pub fn start(self) -> Result<TelemetryServer, TelemetryError> {
         if self.cfg.shards == 0 {
             return Err(TelemetryError::Config {
@@ -195,6 +203,19 @@ impl TelemetryServerBuilder {
                 field: "io_workers",
                 reason: "must be at least 1".to_string(),
             });
+        }
+        if let Some(dir) = &self.cfg.wal_dir {
+            let on_disk = wal::shards_on_disk(Path::new(dir))?;
+            if on_disk > self.cfg.shards {
+                return Err(TelemetryError::Config {
+                    field: "shards",
+                    reason: format!(
+                        "{dir} holds state for {on_disk} shards; restarting with {} would \
+                         drop the ACKed batches of shards {}..{on_disk}",
+                        self.cfg.shards, self.cfg.shards
+                    ),
+                });
+            }
         }
         TelemetryServer::launch(&self.addr, self.cfg)
     }
@@ -260,13 +281,24 @@ struct Shared {
 }
 
 impl Shared {
-    /// Folds every shard partition through the CRDT merge.
+    /// Folds every shard partition through the CRDT merge (full state,
+    /// for `Export`).
     fn fold_stores(&self) -> AggregationStore {
         let mut folded = AggregationStore::new();
         for store in &self.stores {
             folded.absorb(&store.lock().expect("store lock").snapshot());
         }
         folded
+    }
+
+    /// The top-N report over every shard partition, joined one shard
+    /// lock at a time (for `Query`).
+    fn query(&self, top_n: usize) -> TelemetryReport {
+        let mut fold = QueryFold::new();
+        for store in &self.stores {
+            fold.add(&store.lock().expect("store lock"));
+        }
+        fold.report(top_n)
     }
 }
 
@@ -414,10 +446,11 @@ impl TelemetryServer {
         }
     }
 
-    /// The aggregated top-N report over everything ingested so far
-    /// (all shard partitions folded).
-    pub fn report(&self, top_n: usize) -> crate::report::TelemetryReport {
-        self.shared.fold_stores().report(top_n)
+    /// The aggregated top-N report over everything ingested so far —
+    /// the answer a wire `Query` gets (shard partitions joined one lock
+    /// at a time through [`QueryFold`]).
+    pub fn report(&self, top_n: usize) -> TelemetryReport {
+        self.shared.query(top_n)
     }
 
     /// The node's full aggregation state (all shard partitions folded)
@@ -767,8 +800,7 @@ fn handle_request(
             }
         }
         Request::Query { top_n } => {
-            let report = shared.fold_stores().report(top_n);
-            conn.push_ready(Response::Report(report));
+            conn.push_ready(Response::Report(shared.query(top_n)));
         }
         Request::Export => {
             let snapshot = shared.fold_stores().snapshot();

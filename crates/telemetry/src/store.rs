@@ -20,8 +20,12 @@
 //! [`StoreSnapshot`] is the store's canonical serialized form — used
 //! both as the WAL compaction snapshot on disk and as the
 //! `Export`/`State` wire exchange a cluster coordinator folds.
+//! [`QueryFold`] is the lighter fold a `Query` runs over a node's shard
+//! partitions: it joins only the per-app reports and counts distinct
+//! device pairs, since the top-N answer needs neither the fingerprint
+//! sets nor owned device keys.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use hangdoctor::HangBugReport;
 use serde::{Deserialize, Serialize};
@@ -203,6 +207,71 @@ impl AggregationStore {
         self.devices.extend(snap.devices.iter().cloned());
         self.seen.extend(snap.seen.iter().copied());
         self.stats.merge(&snap.stats);
+    }
+}
+
+/// The report-only fold behind `Query{top_n}`: joins the per-app
+/// reports of several store partitions and counts their distinct
+/// `(app, device)` pairs, without the fingerprint sets and owned device
+/// keys an [`AggregationStore::absorb`] fold would copy.
+/// `report(top_n)` is byte-identical to absorbing the same partitions
+/// into one store and calling [`AggregationStore::report`].
+#[derive(Debug, Default)]
+pub struct QueryFold {
+    apps: BTreeMap<String, HangBugReport>,
+    /// Device-key app names, interned to the ids `devices` holds.
+    app_ids: HashMap<String, u32>,
+    /// `(app id, device)` pairs, one per partition that holds the
+    /// pair; [`QueryFold::report`] dedups them.
+    devices: Vec<(u32, u32)>,
+}
+
+impl QueryFold {
+    /// Creates an empty fold.
+    pub fn new() -> QueryFold {
+        QueryFold::default()
+    }
+
+    /// Joins one partition's per-app reports and device pairs into the
+    /// fold.
+    pub fn add(&mut self, store: &AggregationStore) {
+        for (app, report) in &store.apps {
+            match self.apps.get_mut(app) {
+                Some(mine) => mine.merge(report),
+                None => {
+                    self.apps.insert(app.clone(), report.clone());
+                }
+            }
+        }
+        self.devices.reserve(store.devices.len());
+        // The pairs iterate sorted by app, so each app name is looked
+        // up once per partition.
+        let mut current: Option<(&str, u32)> = None;
+        for (app, device) in &store.devices {
+            let id = match current {
+                Some((name, id)) if name == app => id,
+                _ => {
+                    let next = u32::try_from(self.app_ids.len()).expect("fewer than 2^32 apps");
+                    let id = *self.app_ids.entry(app.clone()).or_insert(next);
+                    current = Some((app, id));
+                    id
+                }
+            };
+            self.devices.push((id, *device));
+        }
+    }
+
+    /// The top-N ranked report over every partition added so far.
+    pub fn report(&mut self, top_n: usize) -> TelemetryReport {
+        // A pair held by two partitions (a device whose batches landed
+        // on different shards) counts once, as in the absorb union.
+        self.devices.sort_unstable();
+        self.devices.dedup();
+        TelemetryReport::build(
+            self.apps.iter().map(|(app, r)| (app.as_str(), r)),
+            self.devices.len(),
+            top_n,
+        )
     }
 }
 

@@ -27,6 +27,9 @@
 //! * a **CRC-corrupt** record inside the valid region is data loss the
 //!   log cannot self-heal, and surfaces as a typed
 //!   [`TelemetryError::WalCorrupt`], never a panic;
+//! * a log whose **header names another shard** is refused with a
+//!   typed [`TelemetryError::WalShardMismatch`] instead of replaying
+//!   into the wrong partition;
 //! * **snapshot + WAL replay ≡ pure-WAL replay**, byte-for-byte:
 //!   compaction snapshots the store (including its fingerprint set),
 //!   truncates the log, and relies on idempotent ingest to absorb any
@@ -224,7 +227,9 @@ impl Wal {
     /// Opens (or creates) the WAL at `path`, replaying whatever it
     /// holds. A torn tail is truncated away so subsequent appends
     /// extend a clean log; in-region corruption is returned as
-    /// [`TelemetryError::WalCorrupt`].
+    /// [`TelemetryError::WalCorrupt`], and a header naming another
+    /// shard as [`TelemetryError::WalShardMismatch`] (its batches belong
+    /// to a different partition).
     pub fn open(path: &Path, node: u64, shard: usize) -> Result<(Wal, WalReplay), TelemetryError> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -238,6 +243,15 @@ impl Wal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let replay = scan_wal(&bytes)?;
+        if let Some(header) = &replay.header {
+            if header.shard != shard {
+                return Err(TelemetryError::WalShardMismatch {
+                    path: path.display().to_string(),
+                    expected: shard,
+                    found: header.shard,
+                });
+            }
+        }
         if replay.torn_tail_dropped {
             file.set_len(replay.clean_len)?;
         }
@@ -367,6 +381,32 @@ pub fn wal_path(dir: &Path, shard: usize) -> PathBuf {
 /// The snapshot file of one shard under a node's durability directory.
 pub fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.snap"))
+}
+
+/// How many shards a node's durability directory holds state for: one
+/// more than the highest `K` among its `shard-K.wal` and `shard-K.snap`
+/// files, or 0 for a missing or empty directory. A node must restart
+/// with at least this many shards, or the higher shards' ACKed batches
+/// would drop out of its aggregate.
+pub(crate) fn shards_on_disk(dir: &Path) -> Result<usize, TelemetryError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+        Err(e) => return Err(e.into()),
+    };
+    let mut shards = 0;
+    for entry in entries {
+        let name = entry?.file_name();
+        let shard = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("shard-"))
+            .and_then(|n| n.strip_suffix(".wal").or_else(|| n.strip_suffix(".snap")))
+            .and_then(|k| k.parse::<usize>().ok());
+        if let Some(k) = shard {
+            shards = shards.max(k.saturating_add(1));
+        }
+    }
+    Ok(shards)
 }
 
 /// Recovers one shard's store from its snapshot (if any) plus WAL

@@ -1,7 +1,9 @@
 //! Durability edge cases pinned as regressions: torn tails drop
-//! cleanly, CRC corruption is a typed error (never a panic), compaction
-//! preserves replay byte-for-byte, and a killed-and-restarted server
-//! recovers the identical aggregate over the real TCP path.
+//! cleanly, CRC corruption is a typed error (never a panic), a log
+//! opened as the wrong shard or a restart with fewer shards than the
+//! directory holds is refused with a typed error, compaction preserves
+//! replay byte-for-byte, and a killed-and-restarted server recovers
+//! the identical aggregate over the real TCP path.
 
 use std::path::PathBuf;
 
@@ -9,7 +11,7 @@ use hangdoctor::{HangBugReport, RootCause, RootKind};
 use hd_simrt::ActionUid;
 use hd_telemetry::wal::{recover_shard, snapshot_path, wal_path, write_snapshot, Wal};
 use hd_telemetry::{
-    batch_fingerprint, AggregationStore, TelemetryError, TelemetryItem, TelemetryServer,
+    batch_fingerprint, shard_for, AggregationStore, TelemetryError, TelemetryItem, TelemetryServer,
     UploadBatch, Uploader,
 };
 
@@ -115,6 +117,111 @@ fn crc_corruption_is_a_typed_error_not_a_panic() {
             );
         }
         other => panic!("expected WalCorrupt, got {:?}", other.map(|_| ())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log whose header names another shard belongs to a different
+/// partition: opening or recovering it as this shard is refused, never
+/// silently replayed into the wrong store.
+#[test]
+fn a_log_of_another_shard_is_refused_with_a_typed_error() {
+    let dir = scratch("foreign");
+    let batches = corpus();
+    {
+        let (mut wal, _) = Wal::open(&wal_path(&dir, 0), 0, 0).unwrap();
+        append_corpus(&mut wal, &batches);
+    }
+    // Shard 0's log lands where shard 1's belongs.
+    std::fs::copy(wal_path(&dir, 0), wal_path(&dir, 1)).unwrap();
+    let before = std::fs::read(wal_path(&dir, 1)).unwrap();
+
+    match Wal::open(&wal_path(&dir, 1), 0, 1) {
+        Err(TelemetryError::WalShardMismatch {
+            expected, found, ..
+        }) => assert_eq!((expected, found), (1, 0)),
+        other => panic!("expected WalShardMismatch, got {:?}", other.map(|_| ())),
+    }
+    assert!(matches!(
+        recover_shard(&dir, 0, 1),
+        Err(TelemetryError::WalShardMismatch { .. })
+    ));
+    let refused = TelemetryServer::builder()
+        .shards(2)
+        .wal_dir(dir.to_string_lossy().to_string())
+        .start();
+    assert!(matches!(
+        refused,
+        Err(TelemetryError::WalShardMismatch { .. })
+    ));
+    // Refusing touched nothing: the misplaced log is intact, and its
+    // own shard still opens it.
+    assert_eq!(std::fs::read(wal_path(&dir, 1)).unwrap(), before);
+    let (_, replay) = Wal::open(&wal_path(&dir, 0), 0, 0).unwrap();
+    assert_eq!(replay.batches.len(), batches.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A node restarted with fewer shards than its WAL directory holds
+/// would never recover the higher shards, dropping ACKed batches from
+/// its aggregate: the builder refuses with a typed config error.
+/// Restarting with as many or more shards recovers everything.
+#[test]
+fn restarting_with_fewer_shards_than_on_disk_is_refused() {
+    let dir = scratch("fewer");
+    let wal_dir = dir.to_string_lossy().to_string();
+    let batches: Vec<UploadBatch> = (1..=8u32)
+        .flat_map(|device| {
+            [
+                batch("k9mail", device, 0, 1),
+                batch("omni-notes", device, 0, 2),
+            ]
+        })
+        .collect();
+    assert!(
+        batches.iter().any(|b| shard_for(&b.app, b.device, 4) >= 2),
+        "no batch lands on shard 2 or 3: the test would pass vacuously"
+    );
+
+    let server = TelemetryServer::builder()
+        .shards(4)
+        .wal_dir(wal_dir.clone())
+        .start()
+        .unwrap();
+    let mut client = Uploader::plain(server.local_addr());
+    for b in &batches {
+        client.upload(b).unwrap();
+    }
+    let before = client.query(100).unwrap().to_json();
+    client.shutdown().unwrap();
+    server.join();
+
+    for shards in [1, 2, 3] {
+        match TelemetryServer::builder()
+            .shards(shards)
+            .wal_dir(wal_dir.clone())
+            .start()
+        {
+            Err(TelemetryError::Config { field, reason }) => {
+                assert_eq!(field, "shards");
+                assert!(reason.contains("4 shards"), "unhelpful reason: {reason}");
+            }
+            Err(other) => panic!("expected a shards Config error, got {other:?}"),
+            Ok(_) => panic!("{shards} shards started over a 4-shard WAL directory"),
+        }
+    }
+
+    for shards in [4, 6] {
+        let server = TelemetryServer::builder()
+            .shards(shards)
+            .wal_dir(wal_dir.clone())
+            .start()
+            .unwrap();
+        assert_eq!(server.stats().batches_recovered, batches.len() as u64);
+        let mut client = Uploader::plain(server.local_addr());
+        assert_eq!(client.query(100).unwrap().to_json(), before);
+        client.shutdown().unwrap();
+        server.join();
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
