@@ -214,11 +214,8 @@ fn fleet_report(opts: &Opts, seed: u64) -> hd_fleet::FleetReport {
 
 /// Transport fault configuration: `--chaos RATE` also shakes the
 /// telemetry path.
-fn net_config(opts: &Opts) -> hangdoctor::NetFaultConfig {
-    match opts.chaos {
-        Some(rate) => hangdoctor::NetFaultConfig::chaos(rate),
-        None => hangdoctor::NetFaultConfig::none(),
-    }
+fn net_config(opts: &Opts) -> hd_faults::LinkFaultConfig {
+    hd_faults::LinkFaultConfig::chaos(opts.chaos.unwrap_or(0.0))
 }
 
 fn run_one(name: &str, opts: &Opts) -> Result<(), String> {
@@ -530,22 +527,11 @@ fn run_one(name: &str, opts: &Opts) -> Result<(), String> {
             let spec = study_spec(opts, seed);
             let (_, jobs) = hd_fleet::run_fleet_with_reports(&spec);
             let net = net_config(opts);
-            let mut tally = hangdoctor::NetFaultTally::default();
+            let mut tally = hd_faults::NetFaultTally::default();
             for job in &jobs {
-                let cfg = hd_telemetry::UploaderConfig {
-                    net_faults: net,
-                    ..Default::default()
-                };
-                let mut up = hd_telemetry::Uploader::new(addr, job.device as u64, seed, cfg);
-                let batch = hd_telemetry::UploadBatch {
-                    app: job.app.clone(),
-                    device: job.device,
-                    seq: 0,
-                    items: vec![hd_telemetry::TelemetryItem::Report(job.report.clone())],
-                };
-                up.upload(&batch)
+                let up = hd_telemetry::upload_job(addr, job, net, seed)
                     .map_err(|e| format!("device {} upload failed: {e}", job.device))?;
-                tally.merge(&up.tally());
+                tally.merge(&up);
             }
             let mut client = hd_telemetry::Uploader::plain(addr);
             let report = client.query(opts.top).map_err(|e| e.to_string())?;

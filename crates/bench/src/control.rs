@@ -16,7 +16,7 @@
 //!
 //! The chaos arm repeats the pushed run with control-frame loss, delay,
 //! and duplication injected at the given rate
-//! ([`CtrlFaultConfig::chaos`]): the client's resend/absorb recovery
+//! ([`LinkFaultConfig::chaos`]): the client's resend/absorb recovery
 //! plus the controller's idempotent request semantics must deliver the
 //! byte-identical outcome anyway.
 //!
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use hangdoctor::{FaultConfig, HangDoctorConfig, SymptomThresholds};
 use hd_control::{CohortHealth, ControlAgent, RolloutSpec, RolloutStage, SyncReport};
-use hd_faults::CtrlFaultConfig;
+use hd_faults::LinkFaultConfig;
 use hd_fleet::{
     run_fleet_with_reports, run_fleet_with_reports_overridden, DeviceOverride, DeviceProfile,
     FleetSpec, JobReport,
@@ -226,11 +226,7 @@ pub fn run_control_diff(seed: u64, chaos_rate: f64) -> ControlDifferential {
         .io_workers(1)
         .start()
         .expect("bind loopback control server");
-    let cfg = if chaos_rate > 0.0 {
-        CtrlFaultConfig::chaos(chaos_rate)
-    } else {
-        CtrlFaultConfig::none()
-    };
+    let cfg = LinkFaultConfig::chaos(chaos_rate);
     // One client drives the whole fleet's sync traffic; device 0 keys
     // its fault stream (the devices' own ids key nothing here — faults
     // hit the shared control connection).
@@ -590,12 +586,7 @@ impl ControlProbeOutcome {
 /// Builds a control client for `addr`, with chaos-rate fault injection
 /// when requested.
 fn control_client(addr: SocketAddr, seed: u64, chaos: Option<f64>) -> ControlClient {
-    match chaos {
-        Some(rate) if rate > 0.0 => {
-            ControlClient::with_faults(addr, CtrlFaultConfig::chaos(rate), seed, 0)
-        }
-        _ => ControlClient::connect(addr),
-    }
+    ControlClient::with_faults(addr, LinkFaultConfig::chaos(chaos.unwrap_or(0.0)), seed, 0)
 }
 
 /// Live-probes a running server: harvests one real Hang Doctor run per

@@ -35,14 +35,12 @@ use crate::proto::{RolloutSpec, RolloutStatusInfo};
 /// Total hash buckets (cutoffs are per-ten-thousand).
 pub const BUCKETS: u32 = 10_000;
 
-/// Stable rollout bucket of a device: SplitMix64 of the device id under
-/// a rollout-specific domain constant, reduced mod [`BUCKETS`].
+/// Stable rollout bucket of a device: [`hd_simrt::domain_seed`] of the
+/// device id (as both root and index) under a rollout-specific domain
+/// constant, reduced mod [`BUCKETS`].
 pub fn device_bucket(device: u32) -> u32 {
-    let mut z = (device as u64 ^ 0x5EED_B0C4_E7CA_97A5u64)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(device as u64 + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) % BUCKETS as u64) as u32
+    let device = u64::from(device);
+    (hd_simrt::domain_seed(0x5EED_B0C4_E7CA_97A5, device, device) % u64::from(BUCKETS)) as u32
 }
 
 /// The staged rollout percentages.
@@ -205,6 +203,20 @@ impl Rollout {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn device_buckets_are_pinned() {
+        // A change here reshuffles every rollout cohort.
+        let want = [
+            1409, 264, 8179, 8633, 9200, 8707, 291, 3952, 9838, 3608, 1410, 9129, 1975, 689, 6589,
+            5036, 4703, 7514, 2251, 9054, 54, 2379, 5070, 5208, 9384, 6000, 3658, 6091, 7946, 5532,
+            5013, 2313, 4877, 2027, 4558, 8963, 5328, 7298, 5877, 2745, 7975, 4233, 3920, 5127,
+            201, 3374, 5086, 8733, 9300, 6743, 9350, 9079, 3962, 9464, 8040, 4763, 9470, 4354,
+            5078, 9670, 8020, 5880, 1277, 5433,
+        ];
+        let got: Vec<u32> = (0..64).map(device_bucket).collect();
+        assert_eq!(got, want);
+    }
 
     fn spec() -> RolloutSpec {
         RolloutSpec {

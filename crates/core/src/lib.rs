@@ -47,12 +47,7 @@ pub use correlation::{
     TrainingSample,
 };
 pub use doctor::{Detection, HangDoctor, HdOutput};
-pub use hd_faults::{
-    ctrl_fault_seed, fault_seed, net_fault_seed, BatchFaults, CtrlFaultCategory, CtrlFaultConfig,
-    CtrlFaultPlan, CtrlFaultRates, CtrlFaultTally, FaultCategory, FaultConfig, FaultPlan,
-    FaultRates, FaultTally, FrameFaults, NetFaultCategory, NetFaultConfig, NetFaultPlan,
-    NetFaultRates, NetFaultTally,
-};
+pub use hd_faults::{fault_seed, FaultCategory, FaultConfig, FaultPlan, FaultRates, FaultTally};
 pub use injector::{AppInjector, InjectionReport};
 pub use persistence::DeviceSnapshot;
 pub use report::{HangBugReport, ReportEntry};

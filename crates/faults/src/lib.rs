@@ -32,7 +32,7 @@
 //! | sampler latency | late sampler start | window simply starts late |
 //! | clock jitter | monotonic timer skew | watchdog/sampler deadlines shift |
 
-use hd_simrt::{SimRng, SimTime};
+use hd_simrt::{domain_seed, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// The kinds of fault the plan can inject, one per monitoring failure
@@ -266,16 +266,11 @@ impl FaultTally {
 
 /// Derives the fault-plan seed of the job with stable index `job`.
 ///
-/// Same SplitMix64 scramble as fleet device seeds but domain-separated
-/// by a constant, so a job's fault schedule is independent of its
-/// simulator stream while still being a pure function of
-/// `(root_seed, job)`.
+/// The fleet device seed's derivation under a domain constant of its
+/// own, so a job's fault schedule is independent of its simulator stream
+/// while still being a pure function of `(root_seed, job)`.
 pub fn fault_seed(root_seed: u64, job: u64) -> u64 {
-    let mut z = (root_seed ^ 0xFA17_5EED_0D15_EA5Eu64)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(job.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    domain_seed(0xFA17_5EED_0D15_EA5E, root_seed, job)
 }
 
 /// The per-job fault schedule: a configuration, a private RNG stream,
@@ -412,100 +407,70 @@ impl FaultPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Network faults (telemetry transport)
+// Link faults (device ↔ server transport)
 // ---------------------------------------------------------------------------
 
-/// The kinds of fault the telemetry transport can suffer between a
-/// device and the ingestion backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum NetFaultCategory {
-    /// The connection drops before a frame is delivered; the uploader
-    /// must reconnect and resend.
-    ConnectionDrop,
-    /// A frame is delivered late.
-    DeliveryDelay,
-    /// A frame is delivered twice; idempotent ingest must absorb it.
-    DuplicateFrame,
-}
+/// Seed domain of the upload link's fault plans (the telemetry uploader).
+pub const UPLOAD_LINK: u64 = 0x7E1E_C0DE_5EED_F00D;
 
-impl NetFaultCategory {
-    /// Every category, in declaration order.
-    pub const ALL: [NetFaultCategory; 3] = [
-        NetFaultCategory::ConnectionDrop,
-        NetFaultCategory::DeliveryDelay,
-        NetFaultCategory::DuplicateFrame,
-    ];
+/// Seed domain of the control link's fault plans. Control traffic is
+/// low-rate and bidirectional; its own domain keeps its chaos schedule
+/// from ever perturbing the upload path's streams.
+pub const CONTROL_LINK: u64 = 0xC0DE_C0DE_5EED_0FF1;
 
-    /// Stable kebab-case name (used in reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            NetFaultCategory::ConnectionDrop => "connection-drop",
-            NetFaultCategory::DeliveryDelay => "delivery-delay",
-            NetFaultCategory::DuplicateFrame => "duplicate-frame",
-        }
-    }
-}
-
-/// Per-category network fault injection probabilities, each in `[0, 1]`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct NetFaultRates {
-    /// Probability that the connection drops before a batch is sent.
-    pub connection_drop: f64,
-    /// Probability that a batch is delivered late.
-    pub delivery_delay: f64,
-    /// Probability that a batch frame is sent twice.
-    pub duplicate_frame: f64,
-}
-
-/// Network fault-injection configuration for the telemetry transport.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct NetFaultConfig {
-    /// Per-category injection rates.
-    pub rates: NetFaultRates,
+/// Fault-injection configuration of one device ↔ server link: the
+/// probability, each in `[0, 1]`, that a message is dropped (the sender
+/// reconnects and resends), delayed, or duplicated (idempotent handling
+/// must absorb it).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LinkFaultConfig {
+    /// Probability that the connection drops before a message goes out.
+    pub drop: f64,
+    /// Probability that a message is delivered late.
+    pub delay: f64,
+    /// Probability that a message is delivered twice.
+    pub duplicate: f64,
     /// Maximum extra delivery delay, ns (kept small so chaos tests stay
-    /// fast; the delay is actually slept by the uploader).
-    pub max_delivery_delay_ns: u64,
+    /// fast; the delay is actually slept by the client).
+    pub max_delay_ns: u64,
 }
 
-impl Default for NetFaultConfig {
+impl Default for LinkFaultConfig {
     fn default() -> Self {
-        NetFaultConfig {
-            rates: NetFaultRates::default(),
-            max_delivery_delay_ns: 2_000_000, // 2 ms
+        LinkFaultConfig {
+            drop: 0.0,
+            delay: 0.0,
+            duplicate: 0.0,
+            max_delay_ns: 2_000_000, // 2 ms
         }
     }
 }
 
-impl NetFaultConfig {
+impl LinkFaultConfig {
     /// A configuration that injects nothing (the production default).
-    pub fn none() -> NetFaultConfig {
-        NetFaultConfig::default()
+    pub fn none() -> LinkFaultConfig {
+        LinkFaultConfig::default()
     }
 
-    /// Chaos mode: every category injects at `rate` (clamped to
-    /// `[0, 1]`).
-    pub fn chaos(rate: f64) -> NetFaultConfig {
+    /// Chaos mode: every fault injects at `rate` (clamped to `[0, 1]`).
+    pub fn chaos(rate: f64) -> LinkFaultConfig {
         let rate = rate.clamp(0.0, 1.0);
-        NetFaultConfig {
-            rates: NetFaultRates {
-                connection_drop: rate,
-                delivery_delay: rate,
-                duplicate_frame: rate,
-            },
-            ..NetFaultConfig::default()
+        LinkFaultConfig {
+            drop: rate,
+            delay: rate,
+            duplicate: rate,
+            ..LinkFaultConfig::default()
         }
     }
 
-    /// Whether any category has a positive rate.
+    /// Whether any fault has a positive rate.
     pub fn enabled(&self) -> bool {
-        self.rates.connection_drop > 0.0
-            || self.rates.delivery_delay > 0.0
-            || self.rates.duplicate_frame > 0.0
+        self.drop > 0.0 || self.delay > 0.0 || self.duplicate > 0.0
     }
 }
 
-/// Per-category network fault and recovery counts for one uploader (or,
-/// after [`NetFaultTally::merge`], for a whole fleet's telemetry path).
+/// Upload-link fault and recovery counts for one uploader (or, after
+/// [`NetFaultTally::merge`], for a whole fleet's telemetry path).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetFaultTally {
     /// Connections dropped before a batch went out.
@@ -514,7 +479,7 @@ pub struct NetFaultTally {
     pub deliveries_delayed: u64,
     /// Batch frames deliberately sent twice.
     pub frames_duplicated: u64,
-    /// Upload attempts repeated after a drop or a NACK.
+    /// Upload attempts repeated after a NACK or a transport error.
     pub upload_retries: u64,
     /// Retryable NACKs received from the server (queue-full
     /// backpressure).
@@ -545,229 +510,7 @@ impl NetFaultTally {
     }
 }
 
-/// Derives the network fault-plan seed of the uploader with stable
-/// index `device` — the same SplitMix64 scramble as [`fault_seed`] but
-/// domain-separated by a different constant, so transport faults are
-/// independent of both the simulator stream and the monitoring fault
-/// schedule.
-pub fn net_fault_seed(root_seed: u64, device: u64) -> u64 {
-    let mut z = (root_seed ^ 0x7E1E_C0DE_5EED_F00Du64)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(device.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The per-uploader network fault schedule. All fault decisions for one
-/// batch are drawn **before** the first send attempt, so the schedule
-/// depends only on `(seed, batch sequence)` — never on server timing,
-/// NACKs, or retry counts.
-#[derive(Debug)]
-pub struct NetFaultPlan {
-    cfg: NetFaultConfig,
-    rng: SimRng,
-    /// Running fault/recovery counts. Public so the uploader can record
-    /// its recovery actions (retries, NACKs) into the same ledger.
-    pub tally: NetFaultTally,
-}
-
-impl NetFaultPlan {
-    /// Creates a plan with an explicit seed.
-    pub fn new(cfg: NetFaultConfig, seed: u64) -> NetFaultPlan {
-        NetFaultPlan {
-            cfg,
-            rng: SimRng::seed_from_u64(seed),
-            tally: NetFaultTally::default(),
-        }
-    }
-
-    /// Creates the plan of the uploader with stable index `device`
-    /// under `root_seed`.
-    pub fn for_device(cfg: NetFaultConfig, root_seed: u64, device: u64) -> NetFaultPlan {
-        NetFaultPlan::new(cfg, net_fault_seed(root_seed, device))
-    }
-
-    /// A plan that never injects anything.
-    pub fn disabled() -> NetFaultPlan {
-        NetFaultPlan::new(NetFaultConfig::none(), 0)
-    }
-
-    /// Whether any fault category is active.
-    pub fn is_enabled(&self) -> bool {
-        self.cfg.enabled()
-    }
-
-    /// The configuration this plan runs under.
-    pub fn config(&self) -> &NetFaultConfig {
-        &self.cfg
-    }
-
-    /// Snapshot of the current tally.
-    pub fn tally(&self) -> NetFaultTally {
-        self.tally
-    }
-
-    fn fires(&mut self, rate: f64) -> bool {
-        // Zero-rate categories must not consume RNG state (see
-        // `FaultPlan::fires`).
-        rate > 0.0 && self.rng.chance(rate)
-    }
-
-    /// Draws every fault decision for the next batch. Called exactly
-    /// once per batch, before the first send attempt.
-    pub fn next_batch(&mut self) -> BatchFaults {
-        let drop_connection = if self.fires(self.cfg.rates.connection_drop) {
-            self.tally.connections_dropped += 1;
-            true
-        } else {
-            false
-        };
-        let delay_ns = if self.fires(self.cfg.rates.delivery_delay) {
-            self.tally.deliveries_delayed += 1;
-            Some(
-                self.rng
-                    .uniform_u64(1, self.cfg.max_delivery_delay_ns.max(1)),
-            )
-        } else {
-            None
-        };
-        let duplicate = if self.fires(self.cfg.rates.duplicate_frame) {
-            self.tally.frames_duplicated += 1;
-            true
-        } else {
-            false
-        };
-        BatchFaults {
-            drop_connection,
-            delay_ns,
-            duplicate,
-        }
-    }
-}
-
-/// The fault decisions for one upload batch, drawn up front by
-/// [`NetFaultPlan::next_batch`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchFaults {
-    /// Drop (and re-establish) the connection before sending.
-    pub drop_connection: bool,
-    /// Sleep this long before sending, if set.
-    pub delay_ns: Option<u64>,
-    /// Send the frame twice.
-    pub duplicate: bool,
-}
-
-// ---------------------------------------------------------------------------
-// Control-plane frame faults (hd-control transport)
-// ---------------------------------------------------------------------------
-
-/// The kinds of fault a control-plane frame can suffer between the
-/// server and a device's `ControlAgent`. Mirrors [`NetFaultCategory`]
-/// but lives in its own family: control traffic is low-rate and
-/// bidirectional, and its chaos schedule must never perturb the upload
-/// path's RNG streams.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CtrlFaultCategory {
-    /// The frame is lost in flight; the sender must reconnect and
-    /// resend.
-    FrameLoss,
-    /// The frame is delivered late.
-    FrameDelay,
-    /// The frame is delivered twice; control handling must be
-    /// idempotent.
-    FrameDuplicate,
-}
-
-impl CtrlFaultCategory {
-    /// Every category, in declaration order.
-    pub const ALL: [CtrlFaultCategory; 3] = [
-        CtrlFaultCategory::FrameLoss,
-        CtrlFaultCategory::FrameDelay,
-        CtrlFaultCategory::FrameDuplicate,
-    ];
-
-    /// Stable kebab-case name (used in reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            CtrlFaultCategory::FrameLoss => "frame-loss",
-            CtrlFaultCategory::FrameDelay => "frame-delay",
-            CtrlFaultCategory::FrameDuplicate => "frame-duplicate",
-        }
-    }
-}
-
-/// Per-category control-frame fault probabilities, each in `[0, 1]`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct CtrlFaultRates {
-    /// Probability that a control frame is lost before delivery.
-    pub frame_loss: f64,
-    /// Probability that a control frame is delivered late.
-    pub frame_delay: f64,
-    /// Probability that a control frame is delivered twice.
-    pub frame_duplicate: f64,
-}
-
-/// Control-frame fault-injection configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CtrlFaultConfig {
-    /// Per-category injection rates.
-    pub rates: CtrlFaultRates,
-    /// Maximum extra delivery delay, ns (actually slept by the control
-    /// client, so kept small).
-    pub max_frame_delay_ns: u64,
-}
-
-impl Default for CtrlFaultConfig {
-    fn default() -> Self {
-        CtrlFaultConfig {
-            rates: CtrlFaultRates::default(),
-            max_frame_delay_ns: 2_000_000, // 2 ms
-        }
-    }
-}
-
-impl CtrlFaultConfig {
-    /// A configuration that injects nothing (the production default).
-    pub fn none() -> CtrlFaultConfig {
-        CtrlFaultConfig::default()
-    }
-
-    /// Chaos mode: every category injects at `rate` (clamped to
-    /// `[0, 1]`).
-    pub fn chaos(rate: f64) -> CtrlFaultConfig {
-        let rate = rate.clamp(0.0, 1.0);
-        CtrlFaultConfig {
-            rates: CtrlFaultRates {
-                frame_loss: rate,
-                frame_delay: rate,
-                frame_duplicate: rate,
-            },
-            ..CtrlFaultConfig::default()
-        }
-    }
-
-    /// A configuration that injects only `category`, at `rate`.
-    pub fn only(category: CtrlFaultCategory, rate: f64) -> CtrlFaultConfig {
-        let rate = rate.clamp(0.0, 1.0);
-        let mut cfg = CtrlFaultConfig::none();
-        match category {
-            CtrlFaultCategory::FrameLoss => cfg.rates.frame_loss = rate,
-            CtrlFaultCategory::FrameDelay => cfg.rates.frame_delay = rate,
-            CtrlFaultCategory::FrameDuplicate => cfg.rates.frame_duplicate = rate,
-        }
-        cfg
-    }
-
-    /// Whether any category has a positive rate.
-    pub fn enabled(&self) -> bool {
-        self.rates.frame_loss > 0.0
-            || self.rates.frame_delay > 0.0
-            || self.rates.frame_duplicate > 0.0
-    }
-}
-
-/// Control-frame fault and recovery counts for one control session (or,
-/// after [`CtrlFaultTally::merge`], a whole rollout).
+/// Control-link fault and recovery counts for one control session.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CtrlFaultTally {
     /// Control frames lost before delivery (forcing a resend).
@@ -782,117 +525,44 @@ pub struct CtrlFaultTally {
     pub duplicates_absorbed: u64,
 }
 
-impl CtrlFaultTally {
-    /// Adds another tally into this one (associative and commutative).
-    pub fn merge(&mut self, other: &CtrlFaultTally) {
-        self.frames_lost += other.frames_lost;
-        self.frames_delayed += other.frames_delayed;
-        self.frames_duplicated += other.frames_duplicated;
-        self.resends += other.resends;
-        self.duplicates_absorbed += other.duplicates_absorbed;
-    }
-
-    /// Total control-frame faults injected.
-    pub fn injected(&self) -> u64 {
-        self.frames_lost + self.frames_delayed + self.frames_duplicated
-    }
-
-    /// Whether nothing was injected or recovered.
-    pub fn is_empty(&self) -> bool {
-        *self == CtrlFaultTally::default()
-    }
-}
-
-/// Derives the control-frame fault seed of the session with stable
-/// index `device` — the same SplitMix64 scramble as [`net_fault_seed`]
-/// under yet another domain constant, so control chaos is independent of
-/// the monitoring, transport, and node-crash streams.
-pub fn ctrl_fault_seed(root_seed: u64, device: u64) -> u64 {
-    let mut z = (root_seed ^ 0xC0DE_C0DE_5EED_0FF1u64)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(device.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The per-session control-frame fault schedule. All decisions for one
-/// frame are drawn **before** the first delivery attempt, so the
-/// schedule depends only on `(seed, frame sequence)` — never on server
-/// timing or retries.
+/// The per-link fault schedule of one device. All decisions for one
+/// message are drawn **before** its first send attempt, so the schedule
+/// depends only on `(domain, root_seed, index, message sequence)` —
+/// never on server timing, NACKs, or retry counts.
 #[derive(Debug)]
-pub struct CtrlFaultPlan {
-    cfg: CtrlFaultConfig,
+pub struct LinkFaultPlan {
+    cfg: LinkFaultConfig,
     rng: SimRng,
-    /// Running fault/recovery counts. Public so the control client can
-    /// record its recovery actions (resends, absorbed duplicates) into
-    /// the same ledger.
-    pub tally: CtrlFaultTally,
 }
 
-impl CtrlFaultPlan {
-    /// Creates a plan with an explicit seed.
-    pub fn new(cfg: CtrlFaultConfig, seed: u64) -> CtrlFaultPlan {
-        CtrlFaultPlan {
+impl LinkFaultPlan {
+    /// Creates the plan of the link with stable index `index` (the
+    /// device) under `root_seed`, in the seed domain `domain`
+    /// ([`UPLOAD_LINK`] or [`CONTROL_LINK`]).
+    pub fn new(cfg: LinkFaultConfig, domain: u64, root_seed: u64, index: u64) -> LinkFaultPlan {
+        LinkFaultPlan {
             cfg,
-            rng: SimRng::seed_from_u64(seed),
-            tally: CtrlFaultTally::default(),
+            rng: SimRng::seed_from_u64(domain_seed(domain, root_seed, index)),
         }
     }
 
-    /// Creates the plan of the control session with stable index
-    /// `device` under `root_seed`.
-    pub fn for_device(cfg: CtrlFaultConfig, root_seed: u64, device: u64) -> CtrlFaultPlan {
-        CtrlFaultPlan::new(cfg, ctrl_fault_seed(root_seed, device))
-    }
-
-    /// A plan that never injects anything.
-    pub fn disabled() -> CtrlFaultPlan {
-        CtrlFaultPlan::new(CtrlFaultConfig::none(), 0)
-    }
-
-    /// Whether any fault category is active.
-    pub fn is_enabled(&self) -> bool {
-        self.cfg.enabled()
-    }
-
-    /// The configuration this plan runs under.
-    pub fn config(&self) -> &CtrlFaultConfig {
-        &self.cfg
-    }
-
-    /// Snapshot of the current tally.
-    pub fn tally(&self) -> CtrlFaultTally {
-        self.tally
-    }
-
     fn fires(&mut self, rate: f64) -> bool {
-        // Zero-rate categories must not consume RNG state (see
+        // Zero-rate faults must not consume RNG state (see
         // `FaultPlan::fires`).
         rate > 0.0 && self.rng.chance(rate)
     }
 
-    /// Draws every fault decision for the next control frame. Called
-    /// exactly once per frame, before the first delivery attempt.
-    pub fn next_frame(&mut self) -> FrameFaults {
-        let drop = if self.fires(self.cfg.rates.frame_loss) {
-            self.tally.frames_lost += 1;
-            true
-        } else {
-            false
-        };
-        let delay_ns = if self.fires(self.cfg.rates.frame_delay) {
-            self.tally.frames_delayed += 1;
-            Some(self.rng.uniform_u64(1, self.cfg.max_frame_delay_ns.max(1)))
+    /// Draws every fault decision for the next message. Called exactly
+    /// once per message, before the first send attempt.
+    pub fn next_message(&mut self) -> LinkFaults {
+        let drop = self.fires(self.cfg.drop);
+        let delay_ns = if self.fires(self.cfg.delay) {
+            Some(self.rng.uniform_u64(1, self.cfg.max_delay_ns.max(1)))
         } else {
             None
         };
-        let duplicate = if self.fires(self.cfg.rates.frame_duplicate) {
-            self.tally.frames_duplicated += 1;
-            true
-        } else {
-            false
-        };
-        FrameFaults {
+        let duplicate = self.fires(self.cfg.duplicate);
+        LinkFaults {
             drop,
             delay_ns,
             duplicate,
@@ -900,16 +570,16 @@ impl CtrlFaultPlan {
     }
 }
 
-/// The fault decisions for one control frame, drawn up front by
-/// [`CtrlFaultPlan::next_frame`].
+/// The fault decisions for one message, drawn up front by
+/// [`LinkFaultPlan::next_message`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrameFaults {
-    /// Lose the frame (and the connection) before delivery; the sender
-    /// resends.
+pub struct LinkFaults {
+    /// Drop (and re-establish) the connection before sending; the
+    /// sender resends.
     pub drop: bool,
-    /// Sleep this long before delivering, if set.
+    /// Sleep this long before sending, if set.
     pub delay_ns: Option<u64>,
-    /// Deliver the frame twice.
+    /// Send the message twice.
     pub duplicate: bool,
 }
 
@@ -918,23 +588,18 @@ pub struct FrameFaults {
 // ---------------------------------------------------------------------------
 
 /// Stable kebab-case name of the node-crash fault category. It lives
-/// outside [`NetFaultCategory`]/[`NetFaultTally`] on purpose: those
-/// serialize into pinned chaos fixtures, and node crashes are a
-/// cluster-harness fault (a whole server dies and restarts from its
-/// WAL), not a per-uploader transport fault.
+/// outside [`NetFaultTally`] on purpose: that serializes into pinned
+/// chaos fixtures, and node crashes are a cluster-harness fault (a whole
+/// server dies and restarts from its WAL), not a per-uploader transport
+/// fault.
 pub const NODE_CRASH_CATEGORY: &str = "node-crash";
 
-/// Derives the node-crash schedule seed for a cluster — the same
-/// SplitMix64 scramble as [`net_fault_seed`] under yet another domain
-/// constant, so crash schedules are independent of every transport and
-/// monitoring fault stream (the uploaders' RNG draws must not shift
-/// when crashes are enabled).
+/// Derives the node-crash schedule seed for a cluster, in a seed domain
+/// of its own so crash schedules are independent of every transport and
+/// monitoring fault stream (the uploaders' RNG draws must not shift when
+/// crashes are enabled).
 pub fn node_crash_seed(root_seed: u64, nodes: u64) -> u64 {
-    let mut z = (root_seed ^ 0xC7A5_110D_E5EE_DA0Bu64)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(nodes.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    domain_seed(0xC7A5_110D_E5EE_DA0B, root_seed, nodes)
 }
 
 /// A deterministic node-crash schedule for a cluster run whose uploads
@@ -1154,168 +819,84 @@ mod tests {
         );
     }
 
-    #[test]
-    fn net_plan_same_seed_same_schedule() {
-        let mut a = NetFaultPlan::for_device(NetFaultConfig::chaos(0.3), 7, 4);
-        let mut b = NetFaultPlan::for_device(NetFaultConfig::chaos(0.3), 7, 4);
-        let fa: Vec<BatchFaults> = (0..200).map(|_| a.next_batch()).collect();
-        let fb: Vec<BatchFaults> = (0..200).map(|_| b.next_batch()).collect();
-        assert_eq!(fa, fb);
-        assert_eq!(a.tally(), b.tally());
-        let mut c = NetFaultPlan::for_device(NetFaultConfig::chaos(0.3), 7, 5);
-        let fc: Vec<BatchFaults> = (0..200).map(|_| c.next_batch()).collect();
-        assert_ne!(fa, fc, "different devices must get different schedules");
+    fn draw(plan: &mut LinkFaultPlan, messages: usize) -> Vec<LinkFaults> {
+        (0..messages).map(|_| plan.next_message()).collect()
     }
 
     #[test]
-    fn net_plan_disabled_is_inert() {
-        let mut plan = NetFaultPlan::disabled();
-        assert!(!plan.is_enabled());
+    fn link_plan_same_seed_same_schedule() {
+        let cfg = LinkFaultConfig::chaos(0.3);
+        let a = draw(&mut LinkFaultPlan::new(cfg, UPLOAD_LINK, 7, 4), 200);
+        let b = draw(&mut LinkFaultPlan::new(cfg, UPLOAD_LINK, 7, 4), 200);
+        assert_eq!(a, b);
+        let c = draw(&mut LinkFaultPlan::new(cfg, UPLOAD_LINK, 7, 5), 200);
+        assert_ne!(a, c, "different devices must get different schedules");
+        let d = draw(&mut LinkFaultPlan::new(cfg, CONTROL_LINK, 7, 4), 200);
+        assert_ne!(a, d, "different links must get different schedules");
+    }
+
+    #[test]
+    fn link_plan_disabled_is_inert() {
+        let cfg = LinkFaultConfig::none();
+        assert!(!cfg.enabled());
+        assert!(LinkFaultConfig::chaos(0.1).enabled());
+        let mut plan = LinkFaultPlan::new(cfg, UPLOAD_LINK, 0, 0);
         for _ in 0..100 {
-            assert_eq!(plan.next_batch(), BatchFaults::default());
+            assert_eq!(plan.next_message(), LinkFaults::default());
         }
-        assert!(plan.tally().is_empty());
     }
 
     #[test]
-    fn net_delay_stays_within_configured_bound() {
-        let mut plan = NetFaultPlan::new(NetFaultConfig::chaos(1.0), 9);
+    fn link_delay_stays_within_configured_bound() {
+        let cfg = LinkFaultConfig::chaos(7.0);
+        assert_eq!(cfg.drop, 1.0, "rates are clamped");
+        let mut plan = LinkFaultPlan::new(cfg, CONTROL_LINK, 9, 0);
         for _ in 0..300 {
-            let faults = plan.next_batch();
-            assert!(faults.drop_connection);
-            assert!(faults.duplicate);
-            let delay = faults.delay_ns.expect("rate 1.0 always fires");
-            assert!((1..=2_000_000).contains(&delay), "delay {delay}");
-        }
-        assert_eq!(plan.tally().injected(), 900);
-    }
-
-    #[test]
-    fn net_tally_merge_is_commutative_and_identity_preserving() {
-        let mut a = NetFaultPlan::new(NetFaultConfig::chaos(0.7), 11);
-        let mut b = NetFaultPlan::new(NetFaultConfig::chaos(0.7), 12);
-        for _ in 0..50 {
-            a.next_batch();
-            b.next_batch();
-        }
-        let (ta, tb) = (a.tally(), b.tally());
-        let mut ab = ta;
-        ab.merge(&tb);
-        let mut ba = tb;
-        ba.merge(&ta);
-        assert_eq!(ab, ba);
-        let mut with_id = ta;
-        with_id.merge(&NetFaultTally::default());
-        assert_eq!(with_id, ta);
-    }
-
-    #[test]
-    fn net_fault_seed_is_domain_separated() {
-        assert_eq!(net_fault_seed(42, 3), net_fault_seed(42, 3));
-        assert_ne!(net_fault_seed(42, 3), net_fault_seed(42, 4));
-        assert_ne!(net_fault_seed(42, 3), fault_seed(42, 3));
-        let seeds: std::collections::HashSet<u64> =
-            (0..1_000).map(|i| net_fault_seed(7, i)).collect();
-        assert_eq!(seeds.len(), 1_000);
-    }
-
-    #[test]
-    fn net_category_names_are_stable() {
-        let names: Vec<&str> = NetFaultCategory::ALL.iter().map(|c| c.name()).collect();
-        assert_eq!(
-            names,
-            vec!["connection-drop", "delivery-delay", "duplicate-frame"]
-        );
-    }
-
-    #[test]
-    fn ctrl_plan_same_seed_same_schedule() {
-        let mut a = CtrlFaultPlan::for_device(CtrlFaultConfig::chaos(0.3), 7, 4);
-        let mut b = CtrlFaultPlan::for_device(CtrlFaultConfig::chaos(0.3), 7, 4);
-        let fa: Vec<FrameFaults> = (0..200).map(|_| a.next_frame()).collect();
-        let fb: Vec<FrameFaults> = (0..200).map(|_| b.next_frame()).collect();
-        assert_eq!(fa, fb);
-        assert_eq!(a.tally(), b.tally());
-        let mut c = CtrlFaultPlan::for_device(CtrlFaultConfig::chaos(0.3), 7, 5);
-        let fc: Vec<FrameFaults> = (0..200).map(|_| c.next_frame()).collect();
-        assert_ne!(fa, fc, "different devices must get different schedules");
-    }
-
-    #[test]
-    fn ctrl_plan_disabled_is_inert() {
-        let mut plan = CtrlFaultPlan::disabled();
-        assert!(!plan.is_enabled());
-        for _ in 0..100 {
-            assert_eq!(plan.next_frame(), FrameFaults::default());
-        }
-        assert!(plan.tally().is_empty());
-    }
-
-    #[test]
-    fn ctrl_delay_stays_within_configured_bound() {
-        let mut plan = CtrlFaultPlan::new(CtrlFaultConfig::chaos(1.0), 9);
-        for _ in 0..300 {
-            let faults = plan.next_frame();
+            let faults = plan.next_message();
             assert!(faults.drop);
             assert!(faults.duplicate);
             let delay = faults.delay_ns.expect("rate 1.0 always fires");
             assert!((1..=2_000_000).contains(&delay), "delay {delay}");
         }
-        assert_eq!(plan.tally().injected(), 900);
     }
 
     #[test]
-    fn ctrl_only_activates_a_single_category() {
-        for &cat in &CtrlFaultCategory::ALL {
-            let cfg = CtrlFaultConfig::only(cat, 0.5);
-            assert!(cfg.enabled());
-            let rates = [
-                (CtrlFaultCategory::FrameLoss, cfg.rates.frame_loss),
-                (CtrlFaultCategory::FrameDelay, cfg.rates.frame_delay),
-                (CtrlFaultCategory::FrameDuplicate, cfg.rates.frame_duplicate),
-            ];
-            for (other, rate) in rates {
-                let expect = if other == cat { 0.5 } else { 0.0 };
-                assert_eq!(rate, expect, "{}", other.name());
-            }
+    fn seed_domains_are_separated() {
+        let seeds = [
+            domain_seed(UPLOAD_LINK, 42, 3),
+            domain_seed(CONTROL_LINK, 42, 3),
+            fault_seed(42, 3),
+            node_crash_seed(42, 3),
+            domain_seed(0, 42, 3),
+        ];
+        let distinct: std::collections::HashSet<u64> = seeds.iter().copied().collect();
+        assert_eq!(distinct.len(), seeds.len());
+        for domain in [UPLOAD_LINK, CONTROL_LINK] {
+            let seeds: std::collections::HashSet<u64> =
+                (0..1_000).map(|i| domain_seed(domain, 7, i)).collect();
+            assert_eq!(seeds.len(), 1_000);
         }
     }
 
     #[test]
-    fn ctrl_tally_merge_is_commutative_and_identity_preserving() {
-        let mut a = CtrlFaultPlan::new(CtrlFaultConfig::chaos(0.7), 11);
-        let mut b = CtrlFaultPlan::new(CtrlFaultConfig::chaos(0.7), 12);
-        for _ in 0..50 {
-            a.next_frame();
-            b.next_frame();
-        }
-        let (ta, tb) = (a.tally(), b.tally());
+    fn net_tally_merge_is_commutative_and_identity_preserving() {
+        let tally = |n: u64| NetFaultTally {
+            connections_dropped: n,
+            frames_duplicated: 2 * n,
+            nacks_received: n + 1,
+            ..NetFaultTally::default()
+        };
+        let (ta, tb) = (tally(3), tally(5));
         let mut ab = ta;
         ab.merge(&tb);
         let mut ba = tb;
         ba.merge(&ta);
         assert_eq!(ab, ba);
+        assert_eq!(ab.injected(), ta.injected() + tb.injected());
         let mut with_id = ta;
-        with_id.merge(&CtrlFaultTally::default());
+        with_id.merge(&NetFaultTally::default());
         assert_eq!(with_id, ta);
-    }
-
-    #[test]
-    fn ctrl_fault_seed_is_domain_separated() {
-        assert_eq!(ctrl_fault_seed(42, 3), ctrl_fault_seed(42, 3));
-        assert_ne!(ctrl_fault_seed(42, 3), ctrl_fault_seed(42, 4));
-        assert_ne!(ctrl_fault_seed(42, 3), net_fault_seed(42, 3));
-        assert_ne!(ctrl_fault_seed(42, 3), fault_seed(42, 3));
-        assert_ne!(ctrl_fault_seed(42, 3), node_crash_seed(42, 3));
-        let seeds: std::collections::HashSet<u64> =
-            (0..1_000).map(|i| ctrl_fault_seed(7, i)).collect();
-        assert_eq!(seeds.len(), 1_000);
-    }
-
-    #[test]
-    fn ctrl_category_names_are_stable() {
-        let names: Vec<&str> = CtrlFaultCategory::ALL.iter().map(|c| c.name()).collect();
-        assert_eq!(names, vec!["frame-loss", "frame-delay", "frame-duplicate"]);
+        assert!(NetFaultTally::default().is_empty() && !ta.is_empty());
     }
 
     #[test]
@@ -1337,13 +918,6 @@ mod tests {
         // rate = 0 never crashes.
         assert_eq!(NodeCrashPlan::for_cluster(0.0, 3, 4, 7).crash_count(), 0);
         assert_eq!(NodeCrashPlan::none(4).crash_count(), 0);
-    }
-
-    #[test]
-    fn node_crash_seed_is_domain_separated_from_net_faults() {
-        assert_eq!(node_crash_seed(42, 3), node_crash_seed(42, 3));
-        assert_ne!(node_crash_seed(42, 3), net_fault_seed(42, 3));
-        assert_ne!(node_crash_seed(42, 3), fault_seed(42, 3));
     }
 
     #[test]

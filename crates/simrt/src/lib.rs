@@ -41,7 +41,7 @@ pub use looper::{
 pub use name::{NameId, NameTable};
 pub use probe::{MonitorCost, Probe};
 pub use recorder::{DispatchSpan, Timeline, TimelineRecorder};
-pub use rng::{JitterFan, SimRng};
+pub use rng::{domain_seed, JitterFan, SimRng};
 pub use simulator::{ProbeCtx, RunSummary, SimConfig, Simulator, TaskRecord, TaskStatus};
 pub use thread::{SimThread, ThreadId, ThreadKind, ThreadState};
 pub use time::{SimTime, MICROS, MILLIS, SECONDS};

@@ -8,6 +8,21 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// Derives the seed of stream `index` under `root_seed` in the seed
+/// domain `domain`: one SplitMix64 step over `root_seed ^ domain`.
+///
+/// Every per-device stream in the system (fleet devices, monitoring and
+/// transport fault plans, node-crash schedules, rollout buckets) comes
+/// from here; the domain constant keeps the streams independent of each
+/// other while each stays a pure function of `(root_seed, index)`.
+pub fn domain_seed(domain: u64, root_seed: u64, index: u64) -> u64 {
+    let mut z = (root_seed ^ domain)
+        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index.wrapping_add(1)));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministic random source used throughout the simulation.
 #[derive(Debug)]
 pub struct SimRng {

@@ -1,41 +1,43 @@
-//! The device-side uploader.
+//! Device-side clients of the telemetry server.
 //!
-//! Spools [`UploadBatch`]es to a telemetry server over TCP, surviving
-//! the transport faults `hd-faults` can inject (dropped connections,
-//! delayed deliveries, duplicated frames) and the server's queue-full
-//! NACKs. Delivery is **at-least-once**; the server's idempotent ingest
-//! turns that into exactly-once state.
+//! [`Uploader`] spools [`UploadBatch`]es, [`ControlClient`] drives
+//! `hang-doctor/control/v1` exchanges. Both are verb layers over one
+//! private `Session`: a connection opened on demand, one wire dialect,
+//! one [`LinkFaultPlan`] (dropped connections, delayed deliveries,
+//! duplicated frames) and one retry loop that rides out the server's
+//! queue-full NACKs and transport errors with exponential backoff.
+//! Delivery is **at-least-once**; the server's idempotent handling turns
+//! that into exactly-once state.
 //!
-//! Two clients live here. [`Uploader`] is the synchronous,
-//! fault-injectable device path: one batch in flight, deterministic
-//! retry/backoff, a full fault tally. [`PipelinedUploader`] is the lean
-//! throughput path the ingest benchmark drives: it keeps a window of
-//! batches in flight on one connection and reads ACKs in request order
-//! (the server guarantees per-connection FIFO responses), which is what
-//! pushes a single connection past the syscall-per-batch wall.
+//! [`PipelinedUploader`] is the lean throughput path the ingest
+//! benchmark drives: it keeps a window of batches in flight on one
+//! connection and reads ACKs in request order (the server guarantees
+//! per-connection FIFO responses), which is what pushes a single
+//! connection past the syscall-per-batch wall. It injects no faults and
+//! leaves retries to its caller.
 //!
-//! Determinism contract (what the chaos differential leans on): every
-//! fault decision for a batch is drawn from the device's
-//! [`NetFaultPlan`] *before* the first send attempt, and the
-//! retry-backoff jitter draws from a separate domain-forked RNG stream.
-//! NACK timing — which depends on server load — can therefore never
-//! perturb the fault schedule, so the injected-fault tally for a given
-//! `(root_seed, device)` is a pure function of the batch count.
+//! Determinism contract (what the chaos differentials lean on): every
+//! fault decision for a message is drawn from the session's plan
+//! *before* the first send attempt, and the retry-backoff jitter draws
+//! from a separate domain-forked RNG stream. NACK timing — which depends
+//! on server load — can therefore never perturb the fault schedule, so
+//! the injected-fault tally for a given `(root_seed, device)` is a pure
+//! function of the message count.
 
-use std::io;
+use std::fmt::Debug;
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use hd_faults::{NetFaultConfig, NetFaultPlan, NetFaultTally};
-use hd_simrt::SimRng;
-
 use hangdoctor::ActionState;
 use hd_control::{
     ControlRequest, ControlResponse, Directives, RolloutSpec, RolloutStage, RolloutStatusInfo,
-    StackDump, SyncReport, CONTROL_SCHEMA,
+    StackDump, SyncReport,
 };
-use hd_faults::{CtrlFaultConfig, CtrlFaultPlan, CtrlFaultTally};
+use hd_faults::{
+    CtrlFaultTally, LinkFaultConfig, LinkFaultPlan, NetFaultTally, CONTROL_LINK, UPLOAD_LINK,
+};
+use hd_simrt::{domain_seed, SimRng};
 
 use crate::error::TelemetryError;
 use crate::report::TelemetryReport;
@@ -45,25 +47,185 @@ use crate::wire::{
     UploadBatch, WireVersion, SCHEMA, SCHEMA_V1, SUPPORTED_SCHEMAS,
 };
 
-/// Uploader tuning knobs.
-#[derive(Clone, Debug)]
-pub struct UploaderConfig {
-    /// Attempts per batch before giving up (first try included).
-    pub max_attempts: u32,
-    /// Base backoff unit, ms; attempt `k` waits about `base * 2^k`.
-    pub base_backoff_ms: u64,
-    /// Network fault injection (chaos mode); default injects nothing.
-    pub net_faults: NetFaultConfig,
+/// Attempts per message before giving up (first try included).
+const MAX_ATTEMPTS: u32 = 12;
+
+/// Base backoff unit, ms; retry `k` waits about `BASE_BACKOFF_MS * 2^k`.
+const BASE_BACKOFF_MS: u64 = 1;
+
+/// XORed into a link's seed domain to fork the backoff-jitter stream
+/// away from the link's fault schedule.
+const BACKOFF_SALT: u64 = 0xBACC_0FF5_EED0_15EA;
+
+fn unexpected(what: &str, reply: impl Debug) -> TelemetryError {
+    TelemetryError::Protocol(format!("{what} answered with {reply:?}"))
 }
 
-impl Default for UploaderConfig {
-    fn default() -> UploaderConfig {
-        UploaderConfig {
-            max_attempts: 12,
-            base_backoff_ms: 1,
-            net_faults: NetFaultConfig::none(),
+/// One device's connection to a server: the transport both clients
+/// share.
+struct Session {
+    addr: SocketAddr,
+    dialect: WireVersion,
+    conn: Option<TcpStream>,
+    faults: LinkFaultPlan,
+    backoff_rng: SimRng,
+    /// What the link suffered and how the session recovered, in the
+    /// upload ledger's shape; the control client renames the fields.
+    ledger: NetFaultTally,
+}
+
+impl Session {
+    /// The session of device `index` under `root_seed` on the link
+    /// seeded in `domain`. The fault plan and the backoff jitter derive
+    /// deterministically from the triple, domain-separated from each
+    /// other and from every other stream.
+    fn new(
+        addr: SocketAddr,
+        dialect: WireVersion,
+        faults: LinkFaultConfig,
+        domain: u64,
+        root_seed: u64,
+        index: u64,
+    ) -> Session {
+        Session {
+            addr,
+            dialect,
+            conn: None,
+            faults: LinkFaultPlan::new(faults, domain, root_seed, index),
+            // Retries consume jitter at NACK-dependent times, so it must
+            // not share state with the fault schedule.
+            backoff_rng: SimRng::seed_from_u64(domain_seed(
+                domain ^ BACKOFF_SALT,
+                root_seed,
+                index,
+            )),
+            ledger: NetFaultTally::default(),
         }
     }
+
+    /// One request/response round trip, connecting first if needed. A
+    /// transport error drops the connection; the next trip reconnects.
+    fn round_trip(&mut self, frame: &[u8]) -> Result<Response, FrameError> {
+        if self.conn.is_none() {
+            let stream =
+                TcpStream::connect(self.addr).map_err(|e| FrameError::Io(e.to_string()))?;
+            self.conn = Some(stream);
+        }
+        let stream = self.conn.as_mut().expect("just connected");
+        let reply = write_frame(stream, frame)
+            .map_err(|e| FrameError::Io(e.to_string()))
+            .and_then(|()| read_frame(stream));
+        if reply.is_err() {
+            self.conn = None;
+        }
+        reply
+    }
+
+    /// One unfaulted, unretried exchange.
+    fn exchange(&mut self, req: &Request) -> Result<Response, TelemetryError> {
+        self.round_trip(&encode_frame_in(self.dialect, req))
+            .map_err(|e| TelemetryError::Exhausted(e.to_string()))
+    }
+
+    fn backoff(&mut self, attempt: u32, server_hint_ms: Option<u64>) {
+        let exp = BASE_BACKOFF_MS.saturating_mul(1u64 << attempt.min(10));
+        let jitter = self.backoff_rng.uniform_u64(0, BASE_BACKOFF_MS);
+        let wait = server_hint_ms.unwrap_or(0).max(exp) + jitter;
+        thread::sleep(Duration::from_millis(wait));
+    }
+
+    /// Delivers one request and returns its reply with the attempts it
+    /// took. The message's scheduled faults are drawn before the first
+    /// byte moves, so retries cannot perturb them: a dropped connection
+    /// reconnects and resends, a delayed message waits, NACKs and
+    /// transport errors back off and retry, and a duplicated message
+    /// goes out a second time once answered — its reply is read (to keep
+    /// the connection's request/response cadence) and counted as
+    /// absorbed when the server handled it as a repeat.
+    fn call(&mut self, req: &Request) -> Result<(Response, u32), TelemetryError> {
+        let frame = encode_frame_in(self.dialect, req);
+        let injected = self.faults.next_message();
+        if injected.drop {
+            self.ledger.connections_dropped += 1;
+            self.conn = None;
+        }
+        if let Some(delay_ns) = injected.delay_ns {
+            self.ledger.deliveries_delayed += 1;
+            thread::sleep(Duration::from_nanos(delay_ns));
+        }
+        if injected.duplicate {
+            self.ledger.frames_duplicated += 1;
+        }
+
+        let mut last_err = String::new();
+        for attempt in 0..MAX_ATTEMPTS {
+            if attempt > 0 {
+                self.ledger.upload_retries += 1;
+            }
+            match self.round_trip(&frame) {
+                Ok(Response::Nack { retry_after_ms }) => {
+                    self.ledger.nacks_received += 1;
+                    last_err = "queue-full NACK".to_string();
+                    self.backoff(attempt, Some(retry_after_ms));
+                }
+                Ok(Response::Error(e)) => return Err(TelemetryError::Protocol(e)),
+                Ok(reply) => {
+                    if injected.duplicate {
+                        // A shed copy (NACK or transport loss) is fine:
+                        // the original delivery was already answered.
+                        if let Ok(
+                            Response::Ack {
+                                duplicate: true, ..
+                            }
+                            | Response::Control(_),
+                        ) = self.round_trip(&frame)
+                        {
+                            self.ledger.duplicates_absorbed += 1;
+                        }
+                    }
+                    return Ok((reply, attempt + 1));
+                }
+                Err(e) => {
+                    last_err = e.to_string();
+                    self.backoff(attempt, None);
+                }
+            }
+        }
+        Err(TelemetryError::Exhausted(last_err))
+    }
+
+    /// Tells the server every dialect in `offer` and returns the newest
+    /// common one.
+    fn negotiate(&mut self, offer: &[&str]) -> Result<WireVersion, TelemetryError> {
+        let hello = Request::Hello {
+            supported: offer.iter().map(|s| s.to_string()).collect(),
+        };
+        match self.round_trip(&encode_frame_in(self.dialect, &hello))? {
+            Response::Welcome { schema } => {
+                WireVersion::from_tag(&schema).ok_or(TelemetryError::SchemaDrift(schema))
+            }
+            Response::Error(e) => Err(TelemetryError::Protocol(e)),
+            other => Err(unexpected("hello", other)),
+        }
+    }
+
+    /// Asks the server to shut down after this connection.
+    fn shutdown(&mut self) -> Result<(), TelemetryError> {
+        match self.exchange(&Request::Shutdown)? {
+            Response::Bye => {
+                self.conn = None;
+                Ok(())
+            }
+            other => Err(unexpected("shutdown", other)),
+        }
+    }
+}
+
+/// Uploader tuning knobs.
+#[derive(Clone, Debug, Default)]
+pub struct UploaderConfig {
+    /// Network fault injection (chaos mode); default injects nothing.
+    pub net_faults: LinkFaultConfig,
 }
 
 /// Receipt for one delivered batch.
@@ -79,33 +241,22 @@ pub struct UploadReceipt {
 
 /// A device-side uploader bound to one server address.
 pub struct Uploader {
-    addr: SocketAddr,
-    cfg: UploaderConfig,
-    conn: Option<TcpStream>,
-    faults: NetFaultPlan,
-    backoff_rng: SimRng,
+    session: Session,
 }
 
 impl Uploader {
-    /// Creates the uploader for device `device` under `root_seed`. The
-    /// fault plan and backoff jitter derive deterministically from the
-    /// pair, domain-separated from each other and from the simulation's
-    /// own fault stream.
+    /// Creates the uploader for device `device` under `root_seed`, on
+    /// the [`UPLOAD_LINK`] seed domain.
     pub fn new(addr: SocketAddr, device: u64, root_seed: u64, cfg: UploaderConfig) -> Uploader {
-        let faults = NetFaultPlan::for_device(cfg.net_faults, root_seed, device);
-        // A distinct stream for backoff jitter: retries consume from it
-        // at NACK-dependent times, so it must not share state with the
-        // fault schedule.
-        let backoff_rng = SimRng::seed_from_u64(hd_faults::net_fault_seed(
-            root_seed ^ 0xBACC_0FF5_EED0_15EA,
-            device,
-        ));
         Uploader {
-            addr,
-            cfg,
-            conn: None,
-            faults,
-            backoff_rng,
+            session: Session::new(
+                addr,
+                WireVersion::V2,
+                cfg.net_faults,
+                UPLOAD_LINK,
+                root_seed,
+                device,
+            ),
         }
     }
 
@@ -116,38 +267,7 @@ impl Uploader {
 
     /// The injected-fault and recovery tally so far.
     pub fn tally(&self) -> NetFaultTally {
-        self.faults.tally()
-    }
-
-    fn connect(&mut self) -> io::Result<&mut TcpStream> {
-        if self.conn.is_none() {
-            self.conn = Some(TcpStream::connect(self.addr)?);
-        }
-        Ok(self.conn.as_mut().expect("just connected"))
-    }
-
-    fn backoff(&mut self, attempt: u32, server_hint_ms: Option<u64>) {
-        let base = self.cfg.base_backoff_ms.max(1);
-        let exp = base.saturating_mul(1u64 << attempt.min(10));
-        let jitter = self.backoff_rng.uniform_u64(0, base);
-        let wait = server_hint_ms.unwrap_or(0).max(exp) + jitter;
-        thread::sleep(Duration::from_millis(wait));
-    }
-
-    /// One request/response round trip on the current connection.
-    fn round_trip(&mut self, frame: &[u8]) -> Result<Response, FrameError> {
-        let stream = self.connect().map_err(|e| FrameError::Io(e.to_string()))?;
-        if let Err(e) = write_frame(stream, frame) {
-            self.conn = None;
-            return Err(FrameError::Io(e.to_string()));
-        }
-        match read_frame(stream) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
-        }
+        self.session.ledger
     }
 
     /// Explicit version negotiation: tells the server every *telemetry*
@@ -157,106 +277,35 @@ impl Uploader {
     /// offers the control dialect; that is [`ControlClient`]'s opening
     /// move.
     pub fn negotiate(&mut self) -> Result<WireVersion, TelemetryError> {
-        let hello = Request::Hello {
-            supported: vec![SCHEMA.to_string(), SCHEMA_V1.to_string()],
-        };
-        match self.round_trip(&encode_frame(&hello))? {
-            Response::Welcome { schema } => {
-                WireVersion::from_tag(&schema).ok_or(TelemetryError::SchemaDrift(schema))
-            }
-            Response::Error(e) => Err(TelemetryError::Protocol(e)),
-            other => Err(TelemetryError::Protocol(format!(
-                "hello answered with {other:?}"
-            ))),
-        }
+        self.session.negotiate(&[SCHEMA, SCHEMA_V1])
     }
 
-    /// Delivers one batch, retrying NACKs and transport errors with
-    /// deterministic exponential backoff. Injects this batch's
-    /// scheduled faults (drawn up front) along the way.
+    /// Delivers one batch, riding out its scheduled faults, NACKs and
+    /// transport errors.
     pub fn upload(&mut self, batch: &UploadBatch) -> Result<UploadReceipt, TelemetryError> {
-        // Draw the whole fault schedule for this batch before touching
-        // the network, so retries cannot perturb it.
-        let injected = self.faults.next_batch();
-
-        if injected.drop_connection {
-            // The connection "dies" before the batch goes out; the next
-            // attempt transparently reconnects.
-            self.conn = None;
+        let (reply, attempts) = self.session.call(&Request::Upload(batch.clone()))?;
+        let Response::Ack {
+            fingerprint,
+            duplicate,
+        } = reply
+        else {
+            return Err(unexpected("upload", reply));
+        };
+        if duplicate {
+            self.session.ledger.duplicates_absorbed += 1;
         }
-        if let Some(delay_ns) = injected.delay_ns {
-            thread::sleep(Duration::from_nanos(delay_ns));
-        }
-
-        let frame = encode_frame(&Request::Upload(batch.clone()));
-        let mut last_err = String::new();
-        for attempt in 0..self.cfg.max_attempts {
-            if attempt > 0 {
-                self.faults.tally.upload_retries += 1;
-            }
-            match self.round_trip(&frame) {
-                Ok(Response::Ack {
-                    fingerprint,
-                    duplicate,
-                }) => {
-                    if duplicate {
-                        self.faults.tally.duplicates_absorbed += 1;
-                    }
-                    if injected.duplicate {
-                        // Deliver the frame a second time to exercise
-                        // idempotent ingest; keep the protocol in sync
-                        // by reading (and checking) the response.
-                        match self.round_trip(&frame) {
-                            Ok(Response::Ack {
-                                duplicate: true, ..
-                            }) => self.faults.tally.duplicates_absorbed += 1,
-                            Ok(Response::Nack { .. }) | Err(_) => {
-                                // The duplicate was shed (queue full or
-                                // transport loss) — acceptable: the
-                                // original delivery already ACKed.
-                            }
-                            Ok(other) => {
-                                return Err(TelemetryError::Protocol(format!(
-                                    "duplicate delivery answered with {other:?}"
-                                )))
-                            }
-                        }
-                    }
-                    return Ok(UploadReceipt {
-                        fingerprint,
-                        duplicate,
-                        attempts: attempt + 1,
-                    });
-                }
-                Ok(Response::Nack { retry_after_ms }) => {
-                    self.faults.tally.nacks_received += 1;
-                    last_err = "queue-full NACK".to_string();
-                    self.backoff(attempt, Some(retry_after_ms));
-                }
-                Ok(Response::Error(e)) => return Err(TelemetryError::Protocol(e)),
-                Ok(other) => {
-                    return Err(TelemetryError::Protocol(format!(
-                        "upload answered with {other:?}"
-                    )))
-                }
-                Err(e) => {
-                    last_err = e.to_string();
-                    self.backoff(attempt, None);
-                }
-            }
-        }
-        Err(TelemetryError::Exhausted(last_err))
+        Ok(UploadReceipt {
+            fingerprint,
+            duplicate,
+            attempts,
+        })
     }
 
     /// Queries the server's current top-N aggregation.
     pub fn query(&mut self, top_n: usize) -> Result<TelemetryReport, TelemetryError> {
-        let frame = encode_frame(&Request::Query { top_n });
-        match self.round_trip(&frame) {
-            Ok(Response::Report(report)) => Ok(report),
-            Ok(other) => Err(TelemetryError::Protocol(format!(
-                "query answered with {other:?}"
-            ))),
-            Err(e) => Err(TelemetryError::Exhausted(e.to_string())),
+        match self.session.exchange(&Request::Query { top_n })? {
+            Response::Report(report) => Ok(report),
+            other => Err(unexpected("query", other)),
         }
     }
 
@@ -264,29 +313,15 @@ impl Uploader {
     /// elements, not the lossy top-N projection) — what the cluster
     /// coordinator folds across nodes.
     pub fn export(&mut self) -> Result<StoreSnapshot, TelemetryError> {
-        let frame = encode_frame(&Request::Export);
-        match self.round_trip(&frame) {
-            Ok(Response::State(snapshot)) => Ok(snapshot),
-            Ok(other) => Err(TelemetryError::Protocol(format!(
-                "export answered with {other:?}"
-            ))),
-            Err(e) => Err(TelemetryError::Exhausted(e.to_string())),
+        match self.session.exchange(&Request::Export)? {
+            Response::State(snapshot) => Ok(snapshot),
+            other => Err(unexpected("export", other)),
         }
     }
 
     /// Asks the server to shut down after this connection.
     pub fn shutdown(&mut self) -> Result<(), TelemetryError> {
-        let frame = encode_frame(&Request::Shutdown);
-        match self.round_trip(&frame) {
-            Ok(Response::Bye) => {
-                self.conn = None;
-                Ok(())
-            }
-            Ok(other) => Err(TelemetryError::Protocol(format!(
-                "shutdown answered with {other:?}"
-            ))),
-            Err(e) => Err(TelemetryError::Exhausted(e.to_string())),
-        }
+        self.session.shutdown()
     }
 }
 
@@ -357,158 +392,97 @@ impl PipelinedUploader {
             }),
             Response::Nack { retry_after_ms } => Err(TelemetryError::Nack { retry_after_ms }),
             Response::Error(e) => Err(TelemetryError::Protocol(e)),
-            other => Err(TelemetryError::Protocol(format!(
-                "upload answered with {other:?}"
-            ))),
+            other => Err(unexpected("upload", other)),
         }
     }
 }
 
 /// The control-plane client: drives `hang-doctor/control/v1` exchanges
-/// over the same framed transport the uploader uses. Both the device
-/// agent loop (periodic syncs) and the operator CLI (probes, threshold
-/// pushes) speak through it.
+/// over the same session the uploader uses. Both the device agent loop
+/// (periodic syncs) and the operator CLI (probes, threshold pushes)
+/// speak through it.
 ///
 /// Fault tolerance leans entirely on message idempotency: every control
 /// request is safe to re-send (replace-semantics syncs, target-stage
 /// advances, full-desired-state responses), so a lost frame is simply
-/// retried and a duplicated frame's second response is read and
-/// absorbed. The injected schedule comes from a deterministic
-/// [`CtrlFaultPlan`], domain-separated from every other fault stream.
+/// re-sent and a duplicated frame's second response is read and
+/// absorbed. The injected schedule comes from a [`LinkFaultPlan`] on the
+/// [`CONTROL_LINK`] seed domain.
 pub struct ControlClient {
-    addr: SocketAddr,
-    conn: Option<TcpStream>,
-    faults: CtrlFaultPlan,
-    max_attempts: u32,
+    session: Session,
 }
 
 impl ControlClient {
     /// A fault-free control client (production path).
     pub fn connect(addr: SocketAddr) -> ControlClient {
-        ControlClient {
-            addr,
-            conn: None,
-            faults: CtrlFaultPlan::disabled(),
-            max_attempts: 12,
-        }
+        ControlClient::with_faults(addr, LinkFaultConfig::none(), 0, 0)
     }
 
     /// A control client whose frames suffer the deterministic fault
     /// schedule derived from `(root_seed, device)`.
     pub fn with_faults(
         addr: SocketAddr,
-        cfg: CtrlFaultConfig,
+        cfg: LinkFaultConfig,
         root_seed: u64,
         device: u64,
     ) -> ControlClient {
         ControlClient {
-            addr,
-            conn: None,
-            faults: CtrlFaultPlan::for_device(cfg, root_seed, device),
-            max_attempts: 12,
+            session: Session::new(
+                addr,
+                WireVersion::Control,
+                cfg,
+                CONTROL_LINK,
+                root_seed,
+                device,
+            ),
         }
     }
 
-    /// The injected-fault and recovery tally so far.
+    /// The injected-fault and recovery tally so far. Every lost frame is
+    /// re-sent exactly once, so `resends` equals `frames_lost`.
     pub fn tally(&self) -> CtrlFaultTally {
-        self.faults.tally()
-    }
-
-    fn stream(&mut self) -> io::Result<&mut TcpStream> {
-        if self.conn.is_none() {
-            self.conn = Some(TcpStream::connect(self.addr)?);
-        }
-        Ok(self.conn.as_mut().expect("just connected"))
-    }
-
-    fn round_trip(&mut self, frame: &[u8]) -> Result<Response, FrameError> {
-        let stream = self.stream().map_err(|e| FrameError::Io(e.to_string()))?;
-        if let Err(e) = write_frame(stream, frame) {
-            self.conn = None;
-            return Err(FrameError::Io(e.to_string()));
-        }
-        match read_frame(stream) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
+        let l = self.session.ledger;
+        CtrlFaultTally {
+            frames_lost: l.connections_dropped,
+            frames_delayed: l.deliveries_delayed,
+            frames_duplicated: l.frames_duplicated,
+            resends: l.connections_dropped,
+            duplicates_absorbed: l.duplicates_absorbed,
         }
     }
 
     /// Opens with a Hello offering the control dialect first; the server
     /// must answer in it.
     pub fn negotiate(&mut self) -> Result<WireVersion, TelemetryError> {
-        let hello = Request::Hello {
-            supported: SUPPORTED_SCHEMAS.iter().map(|s| s.to_string()).collect(),
-        };
-        let frame = encode_frame_in(WireVersion::Control, &hello);
-        match self.round_trip(&frame)? {
-            Response::Welcome { schema } if schema == CONTROL_SCHEMA => Ok(WireVersion::Control),
-            Response::Welcome { schema } => Err(TelemetryError::SchemaDrift(schema)),
-            Response::Error(e) => Err(TelemetryError::Protocol(e)),
-            other => Err(TelemetryError::Protocol(format!(
-                "hello answered with {other:?}"
-            ))),
+        match self.session.negotiate(&SUPPORTED_SCHEMAS)? {
+            WireVersion::Control => Ok(WireVersion::Control),
+            other => Err(TelemetryError::SchemaDrift(other.tag().to_string())),
         }
     }
 
-    /// One control round trip, surviving this frame's injected faults:
-    /// a lost frame reconnects and re-sends, a delayed frame waits, a
-    /// duplicated frame goes out twice and the extra response is read
-    /// and absorbed. Safe precisely because every control message is
-    /// idempotent.
+    /// One control round trip, surviving this frame's injected faults
+    /// and transport errors.
     pub fn request(&mut self, req: &ControlRequest) -> Result<ControlResponse, TelemetryError> {
-        let frame = encode_frame_in(WireVersion::Control, &Request::Control(req.clone()));
-        // The whole fault schedule for this frame is drawn before the
-        // first byte moves, so retry timing cannot perturb it.
-        let injected = self.faults.next_frame();
-        if injected.drop {
-            // The frame dies in flight: the connection is gone and the
-            // client must re-send.
-            self.conn = None;
-            self.faults.tally.resends += 1;
+        match self.session.call(&Request::Control(req.clone()))? {
+            (Response::Control(resp), _) => Ok(resp),
+            (other, _) => Err(unexpected("control request", other)),
         }
-        if let Some(delay_ns) = injected.delay_ns {
-            thread::sleep(Duration::from_nanos(delay_ns));
+    }
+
+    /// [`ControlClient::request`] with a typed error reply surfaced as
+    /// [`TelemetryError::Protocol`].
+    fn verb(&mut self, req: ControlRequest) -> Result<ControlResponse, TelemetryError> {
+        match self.request(&req)? {
+            ControlResponse::Err(e) => Err(TelemetryError::Protocol(e)),
+            resp => Ok(resp),
         }
-        let mut last_err = String::new();
-        for _ in 0..self.max_attempts {
-            match self.round_trip(&frame) {
-                Ok(Response::Control(resp)) => {
-                    if injected.duplicate {
-                        // Deliver the frame a second time to exercise
-                        // idempotency; read (and absorb) its response to
-                        // keep the connection's request/response cadence.
-                        if let Ok(Response::Control(_)) = self.round_trip(&frame) {
-                            self.faults.tally.duplicates_absorbed += 1;
-                        }
-                    }
-                    return Ok(resp);
-                }
-                Ok(Response::Error(e)) => return Err(TelemetryError::Protocol(e)),
-                Ok(other) => {
-                    return Err(TelemetryError::Protocol(format!(
-                        "control request answered with {other:?}"
-                    )))
-                }
-                Err(e) => {
-                    last_err = e.to_string();
-                    self.conn = None;
-                }
-            }
-        }
-        Err(TelemetryError::Exhausted(last_err))
     }
 
     /// Device path: reports live state, returns the server's directives.
     pub fn sync(&mut self, report: SyncReport) -> Result<Directives, TelemetryError> {
-        match self.request(&ControlRequest::Sync(report))? {
+        match self.verb(ControlRequest::Sync(report))? {
             ControlResponse::Directives(d) => Ok(d),
-            ControlResponse::Err(e) => Err(TelemetryError::Protocol(e)),
-            other => Err(TelemetryError::Protocol(format!(
-                "sync answered with {other:?}"
-            ))),
+            other => Err(unexpected("sync", other)),
         }
     }
 
@@ -517,37 +491,28 @@ impl ControlClient {
         &mut self,
         device: u32,
     ) -> Result<Vec<(u64, ActionState, u32)>, TelemetryError> {
-        match self.request(&ControlRequest::QueryState { device })? {
+        match self.verb(ControlRequest::QueryState { device })? {
             ControlResponse::StateTable { states, .. } => Ok(states),
-            ControlResponse::Err(e) => Err(TelemetryError::Protocol(e)),
-            other => Err(TelemetryError::Protocol(format!(
-                "state query answered with {other:?}"
-            ))),
+            other => Err(unexpected("state query", other)),
         }
     }
 
     /// Operator probe: a device's most recent on-demand stack dump.
     pub fn pull_stack(&mut self, device: u32) -> Result<Option<StackDump>, TelemetryError> {
-        match self.request(&ControlRequest::PullStack { device })? {
+        match self.verb(ControlRequest::PullStack { device })? {
             ControlResponse::Stack { stack, .. } => Ok(stack),
-            ControlResponse::Err(e) => Err(TelemetryError::Protocol(e)),
-            other => Err(TelemetryError::Protocol(format!(
-                "stack pull answered with {other:?}"
-            ))),
+            other => Err(unexpected("stack pull", other)),
         }
     }
 
     /// Operator: enable/disable phase-2 diagnosis for one app.
     pub fn toggle_diagnosis(&mut self, app: &str, enabled: bool) -> Result<(), TelemetryError> {
-        match self.request(&ControlRequest::ToggleDiagnosis {
+        match self.verb(ControlRequest::ToggleDiagnosis {
             app: app.to_string(),
             enabled,
         })? {
             ControlResponse::Ok => Ok(()),
-            ControlResponse::Err(e) => Err(TelemetryError::Protocol(e)),
-            other => Err(TelemetryError::Protocol(format!(
-                "toggle answered with {other:?}"
-            ))),
+            other => Err(unexpected("toggle", other)),
         }
     }
 
@@ -556,7 +521,7 @@ impl ControlClient {
         &mut self,
         spec: RolloutSpec,
     ) -> Result<RolloutStatusInfo, TelemetryError> {
-        self.rollout_response(&ControlRequest::PushThresholds(spec))
+        self.rollout_verb(ControlRequest::PushThresholds(spec))
     }
 
     /// Operator: advances the rollout to `stage`.
@@ -564,40 +529,24 @@ impl ControlClient {
         &mut self,
         stage: RolloutStage,
     ) -> Result<RolloutStatusInfo, TelemetryError> {
-        self.rollout_response(&ControlRequest::AdvanceRollout { stage })
+        self.rollout_verb(ControlRequest::AdvanceRollout { stage })
     }
 
     /// Operator: the rollout's current status.
     pub fn rollout_status(&mut self) -> Result<RolloutStatusInfo, TelemetryError> {
-        self.rollout_response(&ControlRequest::RolloutStatus)
+        self.rollout_verb(ControlRequest::RolloutStatus)
     }
 
-    fn rollout_response(
-        &mut self,
-        req: &ControlRequest,
-    ) -> Result<RolloutStatusInfo, TelemetryError> {
-        match self.request(req)? {
+    fn rollout_verb(&mut self, req: ControlRequest) -> Result<RolloutStatusInfo, TelemetryError> {
+        match self.verb(req)? {
             ControlResponse::Rollout(status) => Ok(status),
-            ControlResponse::Err(e) => Err(TelemetryError::Protocol(e)),
-            other => Err(TelemetryError::Protocol(format!(
-                "rollout request answered with {other:?}"
-            ))),
+            other => Err(unexpected("rollout request", other)),
         }
     }
 
     /// Asks the server to shut down after this connection.
     pub fn shutdown(&mut self) -> Result<(), TelemetryError> {
-        let frame = encode_frame_in(WireVersion::Control, &Request::Shutdown);
-        match self.round_trip(&frame) {
-            Ok(Response::Bye) => {
-                self.conn = None;
-                Ok(())
-            }
-            Ok(other) => Err(TelemetryError::Protocol(format!(
-                "shutdown answered with {other:?}"
-            ))),
-            Err(e) => Err(TelemetryError::Exhausted(e.to_string())),
-        }
+        self.session.shutdown()
     }
 }
 
@@ -648,8 +597,7 @@ mod tests {
     fn injected_duplicates_are_absorbed_not_double_counted() {
         let server = TelemetryServer::builder().start().unwrap();
         let cfg = UploaderConfig {
-            net_faults: NetFaultConfig::chaos(1.0), // every category fires
-            ..Default::default()
+            net_faults: LinkFaultConfig::chaos(1.0), // every fault fires
         };
         let mut up = Uploader::new(server.local_addr(), 7, 42, cfg);
 
@@ -725,7 +673,7 @@ mod tests {
 
         let server = TelemetryServer::builder().start().unwrap();
         let mut ctl =
-            ControlClient::with_faults(server.local_addr(), CtrlFaultConfig::chaos(1.0), 42, 1);
+            ControlClient::with_faults(server.local_addr(), LinkFaultConfig::chaos(1.0), 42, 1);
         // Every frame is dropped once, delayed, and duplicated — the
         // outcome must match a fault-free exchange exactly.
         let spec = RolloutSpec {
@@ -753,6 +701,30 @@ mod tests {
         assert!(tally.resends >= tally.frames_lost, "{tally:?}");
         assert!(tally.duplicates_absorbed > 0, "{tally:?}");
 
+        ctl.shutdown().unwrap();
+        server.join();
+    }
+
+    #[test]
+    fn control_client_rides_out_a_server_that_starts_late() {
+        // Reserve a port, then bring the server up on it ~300 ms after
+        // the first control request: the client must back off and retry
+        // like the uploader, not burn its attempts in a tight loop.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let starter = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(300));
+            TelemetryServer::builder()
+                .addr(&addr.to_string())
+                .start()
+                .unwrap()
+        });
+        let mut ctl = ControlClient::connect(addr);
+        let outcome = ctl.toggle_diagnosis("app", false);
+        let server = starter.join().unwrap();
+        outcome.expect("control request survives a late server start");
         ctl.shutdown().unwrap();
         server.join();
     }

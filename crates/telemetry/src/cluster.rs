@@ -25,17 +25,17 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hd_faults::{NetFaultConfig, NodeCrashPlan};
+use hd_faults::{LinkFaultConfig, NodeCrashPlan};
 use hd_fleet::{run_fleet_with_reports, FleetSpec};
 use serde::{Deserialize, Serialize};
 
-use crate::client::{Uploader, UploaderConfig};
+use crate::client::Uploader;
 use crate::error::TelemetryError;
 use crate::fingerprint::node_for;
+use crate::fleet::{job_batch, upload_job};
 use crate::report::TelemetryReport;
 use crate::server::{ServerStats, TelemetryServer};
 use crate::store::AggregationStore;
-use crate::wire::{TelemetryItem, UploadBatch};
 
 /// Cluster shape. Every node runs the same per-node layout.
 #[derive(Clone, Debug)]
@@ -271,7 +271,7 @@ fn identity_bytes(store: &AggregationStore) -> String {
 /// against a single in-process store over the same batches.
 pub fn run_cluster_telemetry(
     spec: &FleetSpec,
-    net: &NetFaultConfig,
+    net: &LinkFaultConfig,
     nodes: usize,
     top_n: usize,
     crash: &NodeCrashPlan,
@@ -298,21 +298,9 @@ pub fn run_cluster_telemetry(
     let mut crashes = Vec::new();
     for (wave, wave_jobs) in jobs.chunks(chunk).enumerate() {
         for job in wave_jobs {
-            let batch = UploadBatch {
-                app: job.app.clone(),
-                device: job.device,
-                seq: 0,
-                items: vec![TelemetryItem::Report(job.report.clone())],
-            };
-            reference.ingest(&batch);
+            reference.ingest(&job_batch(job));
             let node = cluster.route(&job.app, job.device);
-            let cfg = UploaderConfig {
-                net_faults: *net,
-                ..UploaderConfig::default()
-            };
-            let mut uploader =
-                Uploader::new(cluster.addr(node), job.device as u64, spec.root_seed, cfg);
-            uploader.upload(&batch).unwrap_or_else(|e| {
+            upload_job(cluster.addr(node), job, *net, spec.root_seed).unwrap_or_else(|e| {
                 panic!("device {} upload to node {node} failed: {e}", job.device)
             });
         }
@@ -350,6 +338,7 @@ pub fn run_cluster_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{TelemetryItem, UploadBatch};
     use hangdoctor::HangBugReport;
 
     #[test]

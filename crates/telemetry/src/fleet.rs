@@ -9,19 +9,21 @@
 //! the idempotent ingest absorbs.
 //!
 //! Determinism of the chaos tally: each device uploads through its own
-//! deterministic [`NetFaultPlan`](hd_faults::NetFaultPlan) (seeded by
-//! `(root_seed, device)`), and the server queue is sized to at least
+//! deterministic [`LinkFaultPlan`](hd_faults::LinkFaultPlan) (seeded by
+//! `(root_seed, device)` on the upload link), and the server queue is sized to at least
 //! the upload thread count so backpressure NACKs — whose counts would
 //! depend on scheduling — cannot occur in this mode. The merged
 //! [`NetFaultTally`] is therefore a pure function of the spec.
 
+use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::thread;
 
-use hd_faults::{NetFaultConfig, NetFaultTally};
+use hd_faults::{LinkFaultConfig, NetFaultTally};
 use hd_fleet::{run_fleet_with_reports, FleetReport, FleetSpec, JobReport};
 
 use crate::client::{Uploader, UploaderConfig};
+use crate::error::TelemetryError;
 use crate::report::TelemetryReport;
 use crate::server::{ServerConfig, ServerStats, TelemetryServer};
 use crate::wire::{TelemetryItem, UploadBatch};
@@ -47,7 +49,7 @@ pub struct TelemetryFleetOutcome {
 /// in-process merge. `top_n` bounds the exported group list.
 pub fn run_fleet_telemetry(
     spec: &FleetSpec,
-    net: &NetFaultConfig,
+    net: &LinkFaultConfig,
     top_n: usize,
 ) -> TelemetryFleetOutcome {
     let (mut fleet, jobs) = run_fleet_with_reports(spec);
@@ -74,7 +76,8 @@ pub fn run_fleet_telemetry(
             let net = *net;
             scope.spawn(move || {
                 for job in jobs.iter().skip(t).step_by(threads) {
-                    let tally = upload_job(addr, job, &net, spec.root_seed);
+                    let tally = upload_job(addr, job, net, spec.root_seed)
+                        .unwrap_or_else(|e| panic!("device {} upload failed: {e}", job.device));
                     tallies.lock().expect("tally lock").push((job.index, tally));
                 }
             });
@@ -112,29 +115,28 @@ pub fn run_fleet_telemetry(
     }
 }
 
-/// Uploads one job's report through a per-device uploader and returns
-/// the device's transport tally.
-fn upload_job(
-    addr: std::net::SocketAddr,
-    job: &JobReport,
-    net: &NetFaultConfig,
-    root_seed: u64,
-) -> NetFaultTally {
-    let cfg = UploaderConfig {
-        net_faults: *net,
-        ..UploaderConfig::default()
-    };
-    let mut uploader = Uploader::new(addr, job.device as u64, root_seed, cfg);
-    let batch = UploadBatch {
+/// A job's report as its device's first upload batch.
+pub(crate) fn job_batch(job: &JobReport) -> UploadBatch {
+    UploadBatch {
         app: job.app.clone(),
         device: job.device,
         seq: 0,
         items: vec![TelemetryItem::Report(job.report.clone())],
-    };
-    uploader
-        .upload(&batch)
-        .unwrap_or_else(|e| panic!("device {} upload failed: {e}", job.device));
-    uploader.tally()
+    }
+}
+
+/// Uploads one job's report through its device's seeded uploader and
+/// returns the device's transport tally.
+pub fn upload_job(
+    addr: SocketAddr,
+    job: &JobReport,
+    net: LinkFaultConfig,
+    root_seed: u64,
+) -> Result<NetFaultTally, TelemetryError> {
+    let cfg = UploaderConfig { net_faults: net };
+    let mut uploader = Uploader::new(addr, u64::from(job.device), root_seed, cfg);
+    uploader.upload(&job_batch(job))?;
+    Ok(uploader.tally())
 }
 
 #[cfg(test)]
@@ -161,7 +163,7 @@ mod tests {
 
     #[test]
     fn loopback_differential_is_byte_identical() {
-        let outcome = run_fleet_telemetry(&small_spec(), &NetFaultConfig::none(), 25);
+        let outcome = run_fleet_telemetry(&small_spec(), &LinkFaultConfig::none(), 25);
         assert!(
             outcome.byte_identical,
             "networked:\n{}\nreference:\n{}",

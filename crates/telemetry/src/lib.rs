@@ -72,7 +72,7 @@ pub use client::{ControlClient, PipelinedUploader, UploadReceipt, Uploader, Uplo
 pub use cluster::{run_cluster_telemetry, Cluster, ClusterConfig, ClusterRunOutcome};
 pub use error::TelemetryError;
 pub use fingerprint::{batch_fingerprint, fnv1a, node_for, shard_for};
-pub use fleet::{run_fleet_telemetry, TelemetryFleetOutcome};
+pub use fleet::{run_fleet_telemetry, upload_job, TelemetryFleetOutcome};
 pub use report::{HangGroup, TelemetryReport};
 pub use server::{ServerConfig, ServerStats, TelemetryServer, TelemetryServerBuilder};
 pub use store::{

@@ -5,7 +5,7 @@
 
 use hangdoctor::HangDoctorConfig;
 use hd_appmodel::corpus::table5;
-use hd_faults::{FaultConfig, NetFaultConfig, NodeCrashPlan};
+use hd_faults::{FaultConfig, LinkFaultConfig, NodeCrashPlan};
 use hd_fleet::{DeviceProfile, FleetSpec};
 use hd_telemetry::run_cluster_telemetry;
 
@@ -27,7 +27,7 @@ fn spec(faults: FaultConfig) -> FleetSpec {
 fn three_node_fold_matches_single_store_byte_for_byte() {
     let outcome = run_cluster_telemetry(
         &spec(FaultConfig::none()),
-        &NetFaultConfig::none(),
+        &LinkFaultConfig::none(),
         3,
         50,
         &NodeCrashPlan::none(1),
@@ -56,7 +56,7 @@ fn three_node_fold_matches_single_store_byte_for_byte() {
 fn kill_and_restart_mid_upload_keeps_the_fold_identical() {
     let outcome = run_cluster_telemetry(
         &spec(FaultConfig::none()),
-        &NetFaultConfig::none(),
+        &LinkFaultConfig::none(),
         3,
         50,
         // Three waves; node 1 is killed and WAL-restarted after wave 0.
@@ -82,7 +82,7 @@ fn kill_and_restart_mid_upload_keeps_the_fold_identical() {
 fn chaos_plus_random_crashes_stay_identical_with_duplicates_absorbed() {
     let outcome = run_cluster_telemetry(
         &spec(FaultConfig::none()),
-        &NetFaultConfig::chaos(0.5),
+        &LinkFaultConfig::chaos(0.5),
         3,
         50,
         &NodeCrashPlan::for_cluster(1.0, 3, 4, 29),
@@ -116,7 +116,7 @@ fn cluster_outcome_is_deterministic() {
     let run = || {
         let outcome = run_cluster_telemetry(
             &spec(FaultConfig::none()),
-            &NetFaultConfig::chaos(0.3),
+            &LinkFaultConfig::chaos(0.3),
             2,
             25,
             &NodeCrashPlan::pinned(2, 0, 0),

@@ -6,7 +6,7 @@
 
 use hangdoctor::HangDoctorConfig;
 use hd_appmodel::corpus::table5;
-use hd_faults::{FaultConfig, NetFaultConfig};
+use hd_faults::{FaultConfig, LinkFaultConfig};
 use hd_fleet::{DeviceProfile, FleetSpec};
 use hd_telemetry::run_fleet_telemetry;
 
@@ -26,7 +26,7 @@ fn spec(faults: FaultConfig) -> FleetSpec {
 
 #[test]
 fn clean_loopback_matches_in_process_merge_byte_for_byte() {
-    let outcome = run_fleet_telemetry(&spec(FaultConfig::none()), &NetFaultConfig::none(), 50);
+    let outcome = run_fleet_telemetry(&spec(FaultConfig::none()), &LinkFaultConfig::none(), 50);
     assert!(
         outcome.byte_identical,
         "networked:\n{}\nreference:\n{}",
@@ -50,7 +50,7 @@ fn clean_loopback_matches_in_process_merge_byte_for_byte() {
 fn chaos_loopback_stays_byte_identical_with_duplicates_absorbed() {
     let outcome = run_fleet_telemetry(
         &spec(FaultConfig::chaos(0.2)),
-        &NetFaultConfig::chaos(0.5),
+        &LinkFaultConfig::chaos(0.5),
         50,
     );
     assert!(
@@ -84,7 +84,7 @@ fn chaos_net_tally_is_deterministic() {
     let run = || {
         let outcome = run_fleet_telemetry(
             &spec(FaultConfig::chaos(0.1)),
-            &NetFaultConfig::chaos(0.4),
+            &LinkFaultConfig::chaos(0.4),
             50,
         );
         assert!(outcome.byte_identical);

@@ -11,7 +11,7 @@
 //! ```
 
 use hangdoctor::HangDoctorConfig;
-use hd_faults::{FaultConfig, NetFaultConfig};
+use hd_faults::{FaultConfig, LinkFaultConfig};
 use hd_fleet::{run_fleet_with_reports, DeviceProfile, FleetSpec};
 use hd_telemetry::{
     encode_frame_in, run_fleet_telemetry, wire::read_frame_versioned, Request, Response,
@@ -49,7 +49,7 @@ fn check_or_regen(rendered: String, fixture: &str, name: &str) {
 
 #[test]
 fn table1_aggregation_matches_checked_in_fixture() {
-    let outcome = run_fleet_telemetry(&spec(), &NetFaultConfig::none(), 25);
+    let outcome = run_fleet_telemetry(&spec(), &LinkFaultConfig::none(), 25);
     assert!(
         outcome.byte_identical,
         "loopback path diverged from the in-process merge"
